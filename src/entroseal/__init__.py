@@ -7,7 +7,8 @@ max(ell, pad_len - ell), roughly half the size a full-multiplication
 pad would need, which halves the AND-gate cost of expansion.
 
 The package bundles the scheme (``cipher``), the expansion map and its
-baselines (``keyexpand``), counted binary-field arithmetic (``gf2``),
+full-width baseline (``keyexpand``), binary-field arithmetic with exact
+gate-count models (``gf2``),
 exact classical verification (``statlab``), a density-matrix lab for the
 quantum claims (``qlab``), cost benchmarks (``bench``), and a CLI.
 """

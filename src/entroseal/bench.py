@@ -5,6 +5,8 @@ in GF(2^lambda) with lambda = max(ell, out_len - ell)) against the
 full-multiplication baselines (one multiplication in GF(2^n) classical,
 GF(2^2n) quantum). Halving the field size is what makes the affine map
 roughly a factor two cheaper in AND gates at matched security sizing.
+The backend picks the gate-count model only; timings always measure the
+library's single evaluation kernel.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .gf2 import Backend, OpCount, clmul_cost, find_irreducible, reduce_cost
-from .keyexpand import (ExpansionParams, Mode, expand_affine,
-                        expand_fullmul_classical, expand_fullmul_quantum)
+from .keyexpand import ExpansionParams, Mode, expand_affine, expand_fullmul
 from .rng import RandomSource
 
 __all__ = [
@@ -39,13 +40,16 @@ class Method(enum.Enum):
     FULLMUL_QUANTUM = "fullmul-quantum"
 
 
+# The mode each full-multiplication baseline applies to.
+_BASELINE_MODE = {
+    Method.FULLMUL_CLASSICAL: Mode.CLASSICAL,
+    Method.FULLMUL_QUANTUM: Mode.QUANTUM,
+}
+
+
 def _mul_width(method: Method, params: ExpansionParams) -> int:
     """Field width the method multiplies in; shown as lam in reports."""
-    if method is Method.AFFINE:
-        return params.lam
-    if method is Method.FULLMUL_CLASSICAL:
-        return params.n
-    return 2 * params.n
+    return params.lam if method is Method.AFFINE else params.out_len
 
 
 def count_expansion(method: Method, params: ExpansionParams,
@@ -64,17 +68,12 @@ def count_expansion(method: Method, params: ExpansionParams,
         cost = clmul_cost(params.lam, params.lam, backend)
         cost += reduce_cost(2 * params.lam, spec)
         return cost + OpCount(0, params.tail_len)
-    if method is Method.FULLMUL_CLASSICAL:
-        if params.mode is not Mode.CLASSICAL:
-            raise PreconditionError(
-                "fullmul-classical applies to classical mode")
-        width = params.n
-    elif method is Method.FULLMUL_QUANTUM:
-        if params.mode is not Mode.QUANTUM:
-            raise PreconditionError("fullmul-quantum applies to quantum mode")
-        width = 2 * params.n
-    else:
+    mode = _BASELINE_MODE.get(method)
+    if mode is None:
         raise PreconditionError(f"unknown method {method!r}")
+    if params.mode is not mode:
+        raise PreconditionError(f"{method.value} applies to {mode.value} mode")
+    width = params.out_len
     spec = find_irreducible(width)
     return clmul_cost(width, width, backend) + reduce_cost(2 * width, spec)
 
@@ -130,33 +129,31 @@ def _cpu_model() -> str:
     return platform.processor() or platform.machine() or "unknown-cpu"
 
 
-def _make_runner(method: Method, params: ExpansionParams, backend: Backend,
-                 rng: RandomSource):
+def _make_runner(method: Method, params: ExpansionParams, rng: RandomSource):
     key = rng.bits(params.ell)
     if method is Method.AFFINE:
         u = rng.bits(params.lam)
         v = rng.bits(params.tail_len)
-        return lambda: expand_affine(key, u, v, params, backend)
-    if method is Method.FULLMUL_CLASSICAL:
-        i = rng.bits(params.n)
-        return lambda: expand_fullmul_classical(key, i, params, backend)
-    i = rng.bits(2 * params.n)
-    return lambda: expand_fullmul_quantum(key, i, params, backend)
+        return lambda: expand_affine(key, u, v, params)
+    r = rng.bits(params.out_len)
+    return lambda: expand_fullmul(key, r, params)
 
 
 def time_expansion(method: Method, params: ExpansionParams, backend: Backend,
                    reps: int = 31, rng: RandomSource | None = None) -> BenchRecord:
     """Median wall time over reps runs, warmup excluded, fresh inputs per rep.
 
-    Input generation happens outside the timed region. The record carries
-    the CPU model string; warn_timer is set when the median is within two
-    orders of magnitude of the clock resolution and should be mistrusted.
+    Input generation happens outside the timed region. The backend picks
+    the cost model of the record only. The record carries the CPU model
+    string; warn_timer is set when the median is within two orders of
+    magnitude of the clock resolution and should be mistrusted.
     """
     if reps < 31:
         raise PreconditionError(f"need reps >= 31 for stable medians, got {reps}")
+    cost = count_expansion(method, params, backend)
     if rng is None:
         rng = RandomSource(0)
-    runners = [_make_runner(method, params, backend, rng)
+    runners = [_make_runner(method, params, rng)
                for _ in range(_WARMUP_REPS + reps)]
     for run in runners[:_WARMUP_REPS]:
         run()
@@ -169,7 +166,6 @@ def time_expansion(method: Method, params: ExpansionParams, backend: Backend,
     quartiles = statistics.quantiles(times, n=4)
     iqr = float(quartiles[2] - quartiles[0])
     resolution_ns = time.get_clock_info("perf_counter").resolution * 1e9
-    cost = count_expansion(method, params, backend)
     return BenchRecord(
         method=method, backend=backend, mode=params.mode, n=params.n,
         ell=params.ell, lam=_mul_width(method, params), cost=cost,

@@ -61,7 +61,11 @@ def _ceil_snapped(x: float) -> int:
     return math.ceil(x)
 
 
-def _check_epsilon(epsilon: float) -> None:
+def _check_inputs(n: int, t: float, epsilon: float) -> None:
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    if not math.isfinite(t):
+        raise ParameterError(f"t must be finite, got {t}")
     if not (0.0 < epsilon <= 1.0):
         raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
 
@@ -75,14 +79,8 @@ def derive_key_length(n: int, t: float, epsilon: float,
     in [1, n] (classical) or [1, 2n] (quantum); anything else names the
     violated bound. mode accepts the enum or its string value.
     """
-    if isinstance(mode, str):
-        try:
-            mode = Mode(mode)
-        except ValueError:
-            raise ParameterError(f"unknown mode {mode!r}") from None
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    _check_epsilon(epsilon)
+    mode = Mode.parse(mode)
+    _check_inputs(n, t, epsilon)
     two_log = 2.0 * math.log2(1.0 / epsilon)
     if mode is Mode.CLASSICAL:
         floor_t = two_log - 5.0
@@ -93,15 +91,13 @@ def derive_key_length(n: int, t: float, epsilon: float,
             )
         ell = _ceil_snapped(n - t + two_log - 5.0)
         cap = n
-    elif mode is Mode.QUANTUM:
+    else:
         if not -n <= t <= n:
             raise ParameterError(
                 f"quantum mode requires -n <= t <= n, got t = {t:.6g}"
             )
         ell = _ceil_snapped(n - t + two_log + 3.0)
         cap = 2 * n
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
     if ell < 1:
         raise ParameterError(
             f"derived key length {ell} < 1; the requested (t, epsilon) "
@@ -123,9 +119,7 @@ def indistinguishability_key_length(n: int, t: float, epsilon: float) -> int:
     than the stronger semantic form; exposed for information only and
     not used by the scheme.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    _check_epsilon(epsilon)
+    _check_inputs(n, t, epsilon)
     if not -n <= t <= n:
         raise ParameterError(f"requires -n <= t <= n, got t = {t:.6g}")
     ell = _ceil_snapped(n - t + 2.0 * math.log2(1.0 / epsilon))
@@ -160,16 +154,10 @@ class SchemeParams:
     @classmethod
     def derive(cls, n: int, t: float, epsilon: float,
                mode: Mode | str = Mode.CLASSICAL) -> "SchemeParams":
-        if isinstance(mode, str):
-            try:
-                mode = Mode(mode)
-            except ValueError:
-                raise ParameterError(f"unknown mode {mode!r}") from None
+        mode = Mode.parse(mode)
         ell = derive_key_length(n, t, epsilon, mode)
-        factory = (ExpansionParams.classical if mode is Mode.CLASSICAL
-                   else ExpansionParams.quantum)
         return cls(n=n, t=t, epsilon=epsilon, mode=mode, ell=ell,
-                   expansion=factory(n, ell))
+                   expansion=ExpansionParams(n, ell, mode))
 
 
 def _expansion_of(params) -> ExpansionParams:
@@ -206,9 +194,7 @@ class Ciphertext:
 
     @property
     def expansion(self) -> ExpansionParams:
-        factory = (ExpansionParams.classical if self.mode is Mode.CLASSICAL
-                   else ExpansionParams.quantum)
-        return factory(self.n, self.ell)
+        return ExpansionParams(self.n, self.ell, self.mode)
 
 
 def gen(params, rng: RandomSource) -> BitPoly:
@@ -323,17 +309,13 @@ def deserialize(data: bytes) -> Ciphertext:
                           f"{_HEADER_LEN}-byte header")
     n = int.from_bytes(data[6:14], "little")
     ell = int.from_bytes(data[14:22], "little")
-    cap = n if mode is Mode.CLASSICAL else 2 * n
-    if n < 1 or ell < 1 or ell > cap:
+    try:
+        exp = ExpansionParams(n, ell, mode)
+    except ParameterError as exc:
         raise FormatError(WireErrorCode.BAD_PARAMS,
-                          f"(n={n}, ell={ell}) violates 1 <= ell <= "
-                          f"{'n' if mode is Mode.CLASSICAL else '2n'}, n >= 1")
-    lam = max(ell, cap - ell)
-    tail = cap - ell
-    u_len = (lam + 7) // 8
-    v_len = (tail + 7) // 8
-    p_len = (cap + 7) // 8
-    expected = _HEADER_LEN + u_len + v_len + p_len
+                          f"(n={n}, ell={ell}): {exc}") from exc
+    widths = (("u", exp.lam), ("v", exp.tail_len), ("payload", exp.out_len))
+    expected = _HEADER_LEN + sum((nbits + 7) // 8 for _, nbits in widths)
     if len(data) < expected:
         raise FormatError(WireErrorCode.TRUNCATED,
                           f"need {expected} bytes for (n={n}, ell={ell}), "
@@ -344,8 +326,8 @@ def deserialize(data: bytes) -> Ciphertext:
                           f"(n={n}, ell={ell}), got {len(data)}")
     pos = _HEADER_LEN
     fields = []
-    for name, nbits, nbytes in (("u", lam, u_len), ("v", tail, v_len),
-                                ("payload", cap, p_len)):
+    for name, nbits in widths:
+        nbytes = (nbits + 7) // 8
         raw = data[pos:pos + nbytes]
         pos += nbytes
         try:

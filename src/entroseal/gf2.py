@@ -3,10 +3,13 @@
 A polynomial a(x) = sum a_i x^i with a_i in {0,1} is stored as a Python
 integer whose bit i is the coefficient a_i, together with an explicit
 bit-length so that fixed-width strings and polynomials share one type.
-All multiplication routines return, alongside the product, the exact
+Computing and counting are separate: :func:`clmul`, :func:`reduce_mod`
+and :func:`gf_mul` return only the exact product, always evaluated by
+one kernel, while :func:`clmul_cost` and :func:`reduce_cost` give the
 number of two-input AND and XOR gates a hardware realization of the
-chosen algorithm would use; the counting rules are mirrored bit-serially
-in :mod:`entroseal.gf2ref` and the two are tested against each other.
+chosen :class:`Backend` would use. The counting rules are mirrored
+bit-serially in :mod:`entroseal.gf2ref` and the two are tested against
+each other.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "clmul_cost",
     "reduce_mod",
     "reduce_cost",
-    "gf_add",
     "gf_mul",
     "lsb_truncate",
     "is_irreducible",
@@ -136,7 +138,11 @@ class OpCount:
 
 
 class Backend(enum.Enum):
-    """Multiplication algorithm used for both evaluation and gate counts."""
+    """Gate-count model for a carry-less multiply.
+
+    It selects only how a product is counted; every product is evaluated
+    by the same exact kernel, so the choice never changes a value.
+    """
 
     SCHOOLBOOK = "schoolbook"
     KARATSUBA = "karatsuba"
@@ -218,23 +224,14 @@ def clmul_cost(na: int, nb: int, backend: Backend = Backend.SCHOOLBOOK) -> OpCou
     raise ConfigurationError(f"unknown backend {backend!r}")
 
 
-def clmul(a: BitPoly, b: BitPoly,
-          backend: Backend = Backend.SCHOOLBOOK) -> tuple[BitPoly, OpCount]:
-    """Carry-less (polynomial) product with its exact gate count.
+def clmul(a: BitPoly, b: BitPoly) -> BitPoly:
+    """Carry-less (polynomial) product, of width ``a.nbits + b.nbits``.
 
-    The result width is ``a.nbits + b.nbits`` (or 0 if either operand has
-    zero width), independent of the backend; only the count differs.
+    Evaluated by Karatsuba over the wider operand's width, down to the
+    shift-and-xor leaf. Gate counts come from :func:`clmul_cost`.
     """
-    cost = clmul_cost(a.nbits, b.nbits, backend)
-    out_bits = a.nbits + b.nbits
-    if a.nbits == 0 or b.nbits == 0:
-        return BitPoly(0, out_bits), cost
-    if backend is Backend.SCHOOLBOOK:
-        value = _mul_int(a.value, b.value)
-    else:
-        width = max(a.nbits, b.nbits)
-        value = _kara_int(a.value, b.value, width)
-    return BitPoly(value, out_bits), cost
+    width = max(a.nbits, b.nbits)
+    return BitPoly(_kara_int(a.value, b.value, width), a.nbits + b.nbits)
 
 
 @dataclass(frozen=True)
@@ -270,13 +267,8 @@ class FieldSpec:
             modulus = BitPoly(modulus.value, lam + 1)
         if verify and not is_irreducible(modulus):
             raise PreconditionError(f"{modulus!r} is not irreducible over GF(2)")
-        rest = modulus.value ^ (1 << lam)
-        exps = []
-        while rest:
-            e = rest.bit_length() - 1
-            exps.append(e)
-            rest ^= 1 << e
-        return cls(lam=lam, modulus=modulus, reduction_exponents=tuple(exps))
+        rest = _exponents_desc(modulus.value ^ (1 << lam))
+        return cls(lam=lam, modulus=modulus, reduction_exponents=rest)
 
 
 def reduce_cost(width: int, spec: FieldSpec) -> OpCount:
@@ -301,34 +293,28 @@ def reduce_cost(width: int, spec: FieldSpec) -> OpCount:
     return OpCount(0, xors)
 
 
-def reduce_mod(p: BitPoly, spec: FieldSpec) -> tuple[BitPoly, OpCount]:
-    """Reduce modulo the field's irreducible polynomial, with XOR count.
+def reduce_mod(p: BitPoly, spec: FieldSpec) -> BitPoly:
+    """Reduce modulo the field's irreducible polynomial to lam bits.
 
-    Accepts widths up to 2*lam (a full product of two field elements) and
-    returns a lam-bit remainder. The fold loop mirrors the oblivious
-    shift-and-xor network whose gates :func:`reduce_cost` counts.
+    Accepts widths up to 2*lam (a full product of two field elements).
+    The fold loop mirrors the oblivious shift-and-xor network whose gates
+    :func:`reduce_cost` counts.
     """
     lam = spec.lam
-    cost = reduce_cost(p.nbits, spec)
+    if p.nbits > 2 * lam:
+        raise PreconditionError(
+            f"reduction input of {p.nbits} bits exceeds 2*lam = {2 * lam}")
     val = _fold_reduce_int(p.value, p.nbits, lam, spec.reduction_exponents)
-    return BitPoly(val, lam), cost
+    return BitPoly(val, lam)
 
 
-def gf_add(a: BitPoly, b: BitPoly) -> tuple[BitPoly, OpCount]:
-    """Field addition (bitwise XOR) with its gate count."""
-    return a ^ b, OpCount(0, a.nbits)
-
-
-def gf_mul(a: BitPoly, b: BitPoly, spec: FieldSpec,
-           backend: Backend = Backend.SCHOOLBOOK) -> tuple[BitPoly, OpCount]:
+def gf_mul(a: BitPoly, b: BitPoly, spec: FieldSpec) -> BitPoly:
     """Field multiplication in GF(2^lam): carry-less multiply then reduce."""
     if a.degree >= spec.lam or b.degree >= spec.lam:
         raise PreconditionError("operands must have degree below lam")
     aw = a if a.nbits == spec.lam else a.resize(spec.lam)
     bw = b if b.nbits == spec.lam else b.resize(spec.lam)
-    prod, mcost = clmul(aw, bw, backend)
-    rem, rcost = reduce_mod(prod, spec)
-    return rem, mcost + rcost
+    return reduce_mod(clmul(aw, bw), spec)
 
 
 def lsb_truncate(p: BitPoly, m: int) -> BitPoly:
@@ -351,6 +337,7 @@ def _polymod_int(a: int, m: int) -> int:
 
 
 def _exponents_desc(v: int) -> tuple[int, ...]:
+    """Exponents of the set coefficients of v, highest first."""
     out = []
     while v:
         e = v.bit_length() - 1
@@ -501,12 +488,7 @@ class _SmallFactorSieve:
             self._tables.append((period, cyc, base))
 
     def has_small_factor(self, f: int) -> bool:
-        rest = f ^ (1 << self.lam)
-        exps = []
-        while rest:
-            e = rest.bit_length() - 1
-            exps.append(e)
-            rest ^= 1 << e
+        exps = _exponents_desc(f ^ (1 << self.lam))
         for period, cyc, base in self._tables:
             r = base
             for e in exps:

@@ -5,9 +5,9 @@ function of it over GF(2^lambda):
 
     pad(k) = k || lsb(u * k) xor v
 
-where u, v are public uniform strings. Two full-multiplication baselines
-(pad = k * r over the full-width field) are included for cost comparison;
-they need a field twice as large for the same pad length, which is where
+where u, v are public uniform strings. A full-multiplication baseline
+(pad = k * r over the full-width field) is included for cost comparison;
+it needs a field twice as large for the same pad length, which is where
 the affine map's factor-two advantage comes from.
 """
 
@@ -16,16 +16,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import LengthError, ParameterError, PreconditionError
-from .gf2 import Backend, BitPoly, find_irreducible, gf_mul, lsb_truncate
+from .errors import LengthError, ParameterError
+from .gf2 import BitPoly, find_irreducible, gf_mul, lsb_truncate
 from .rng import RandomSource
 
 __all__ = [
     "Mode",
     "ExpansionParams",
     "expand_affine",
-    "expand_fullmul_classical",
-    "expand_fullmul_quantum",
+    "expand_fullmul",
     "sample_public_randomness",
 ]
 
@@ -34,52 +33,57 @@ class Mode(enum.Enum):
     CLASSICAL = "classical"
     QUANTUM = "quantum"
 
+    @classmethod
+    def parse(cls, mode: "Mode | str") -> "Mode":
+        """The mode itself, or the mode whose string value is given."""
+        try:
+            return cls(mode)
+        except ValueError:
+            raise ParameterError(f"unknown mode {mode!r}") from None
+
 
 @dataclass(frozen=True)
 class ExpansionParams:
     """Sizes for one expansion instance.
 
-    Classical mode pads an n-bit message: lambda = max(ell, n - ell) and
-    out_len = n. Quantum mode produces a 2n-bit Pauli key string for n
-    qubits: lambda = max(ell, 2n - ell) and out_len = 2n. In both modes
-    tail_len = out_len - ell is the part of the pad beyond the copied key.
+    Classical mode pads an n-bit message, so out_len = n. Quantum mode
+    produces a 2n-bit Pauli key string for n qubits, so out_len = 2n. In
+    both modes tail_len = out_len - ell is the part of the pad beyond the
+    copied key, and the field has degree lam = max(ell, tail_len).
     """
 
     n: int
     ell: int
     mode: Mode
-    lam: int
-    out_len: int
-    tail_len: int
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ParameterError("n must be >= 1")
-        cap = self.n if self.mode is Mode.CLASSICAL else 2 * self.n
-        if not 1 <= self.ell <= cap:
+        if not 1 <= self.ell <= self.out_len:
             raise ParameterError(
-                f"ell must be in [1, {cap}] for {self.mode.value} mode, got {self.ell}"
+                f"ell must be in [1, {self.out_len}] for {self.mode.value} "
+                f"mode, got {self.ell}"
             )
-        if self.out_len != cap:
-            raise ParameterError(f"out_len must be {cap}, got {self.out_len}")
-        if self.lam != max(self.ell, cap - self.ell):
-            raise ParameterError(
-                f"lambda must be max(ell, out_len - ell) = "
-                f"{max(self.ell, cap - self.ell)}, got {self.lam}"
-            )
-        if self.tail_len != self.out_len - self.ell:
-            raise ParameterError("tail_len must equal out_len - ell")
+
+    @property
+    def out_len(self) -> int:
+        return self.n if self.mode is Mode.CLASSICAL else 2 * self.n
+
+    @property
+    def tail_len(self) -> int:
+        return self.out_len - self.ell
+
+    @property
+    def lam(self) -> int:
+        return max(self.ell, self.tail_len)
 
     @classmethod
     def classical(cls, n: int, ell: int) -> "ExpansionParams":
-        return cls(n=n, ell=ell, mode=Mode.CLASSICAL,
-                   lam=max(ell, n - ell), out_len=n, tail_len=n - ell)
+        return cls(n, ell, Mode.CLASSICAL)
 
     @classmethod
     def quantum(cls, n: int, ell: int) -> "ExpansionParams":
-        return cls(n=n, ell=ell, mode=Mode.QUANTUM,
-                   lam=max(ell, 2 * n - ell), out_len=2 * n,
-                   tail_len=2 * n - ell)
+        return cls(n, ell, Mode.QUANTUM)
 
 
 def _check_len(name: str, p: BitPoly, want: int) -> None:
@@ -88,8 +92,7 @@ def _check_len(name: str, p: BitPoly, want: int) -> None:
 
 
 def expand_affine(key: BitPoly, u: BitPoly, v: BitPoly,
-                  params: ExpansionParams,
-                  backend: Backend = Backend.KARATSUBA) -> BitPoly:
+                  params: ExpansionParams) -> BitPoly:
     """pad = key || (lsb_truncate(u * key, tail_len) xor v).
 
     The multiplication is in GF(2^lambda) with the key zero-extended to
@@ -103,38 +106,22 @@ def expand_affine(key: BitPoly, u: BitPoly, v: BitPoly,
     if params.tail_len == 0:
         return key
     spec = find_irreducible(params.lam)
-    embedded = key.resize(params.lam)
-    product, _ = gf_mul(u, embedded, spec, backend)
+    product = gf_mul(u, key.resize(params.lam), spec)
     tail = lsb_truncate(product, params.tail_len) ^ v
     return key.concat(tail)
 
 
-def expand_fullmul_classical(key: BitPoly, i: BitPoly,
-                             params: ExpansionParams,
-                             backend: Backend = Backend.KARATSUBA) -> BitPoly:
-    """Baseline pad = key * i over the full field GF(2^n)."""
-    if params.mode is not Mode.CLASSICAL:
-        raise PreconditionError("classical baseline requires classical mode")
-    _check_len("key", key, params.ell)
-    _check_len("i", i, params.n)
-    spec = find_irreducible(params.n)
-    embedded = key.resize(params.n)
-    product, _ = gf_mul(embedded, i, spec, backend)
-    return product
+def expand_fullmul(key: BitPoly, r: BitPoly,
+                   params: ExpansionParams) -> BitPoly:
+    """Baseline pad = key * r over the full field GF(2^out_len).
 
-
-def expand_fullmul_quantum(key: BitPoly, alpha: BitPoly,
-                           params: ExpansionParams,
-                           backend: Backend = Backend.KARATSUBA) -> BitPoly:
-    """Baseline Pauli key string = key * alpha over GF(2^{2n})."""
-    if params.mode is not Mode.QUANTUM:
-        raise PreconditionError("quantum baseline requires quantum mode")
+    That is GF(2^n) for a classical n-bit message and GF(2^{2n}) for the
+    Pauli key string of n qubits.
+    """
     _check_len("key", key, params.ell)
-    _check_len("alpha", alpha, 2 * params.n)
-    spec = find_irreducible(2 * params.n)
-    embedded = key.resize(2 * params.n)
-    product, _ = gf_mul(embedded, alpha, spec, backend)
-    return product
+    _check_len("r", r, params.out_len)
+    spec = find_irreducible(params.out_len)
+    return gf_mul(key.resize(params.out_len), r, spec)
 
 
 def sample_public_randomness(params: ExpansionParams,

@@ -78,6 +78,17 @@ class TestDeriveKeyLength:
         with pytest.raises(ParameterError, match="n must be"):
             derive_key_length(0, 0, 0.5, Mode.CLASSICAL)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_non_finite_t_is_a_parameter_error(self, t, mode):
+        with pytest.raises(ParameterError, match="t must be finite"):
+            derive_key_length(64, t, 2.0 ** -5, mode)
+        with pytest.raises(ParameterError, match="t must be finite"):
+            SchemeParams.derive(64, t, 2.0 ** -5, mode)
+        if mode is Mode.QUANTUM:
+            with pytest.raises(ParameterError, match="t must be finite"):
+                indistinguishability_key_length(64, t, 2.0 ** -5)
+
     def test_monotone_in_t_and_epsilon(self):
         prev = None
         for t in range(15, 60):

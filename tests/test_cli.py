@@ -66,6 +66,17 @@ class TestParams:
         assert "error:" in err
 
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_non_finite_t_is_exit_2(self, capsys, t, mode):
+        # "--t=-inf": argparse would read a separate "-inf" as an option
+        rc, _, err = run(capsys, [
+            "params", "--n-bits", "64", f"--t={t}", "--epsilon", "2^-5",
+            "--mode", mode])
+        assert rc == 2
+        assert "t must be finite" in err
+
+
 class TestEncryptDecrypt:
     def _write_inputs(self, tmp_path, size=512):
         plain = tmp_path / "plain.bin"
@@ -246,3 +257,13 @@ class TestBench:
             "bench", "--sizes", "16", "--reps", "5"])
         assert rc == 2
         assert "31" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--sizes", "x"), ("--methods", "bogus"), ("--backends", "bogus")])
+    def test_bad_list_flag_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "16", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {flag}" in err

@@ -1,18 +1,19 @@
 """Key expansion tests: sizing rules, the affine structure of the pad,
 baseline maps against the field oracle, and tail uniformity."""
 
+import dataclasses
 import random
 
 import pytest
 
 from entroseal.errors import LengthError, ParameterError, PreconditionError
-from entroseal.gf2 import Backend, BitPoly, find_irreducible, gf_mul
+from entroseal.gf2 import BitPoly, find_irreducible, gf_mul, lsb_truncate, reduce_mod
+from entroseal.gf2ref import clmul_karatsuba_counted, clmul_schoolbook_counted
 from entroseal.keyexpand import (
     ExpansionParams,
     Mode,
     expand_affine,
-    expand_fullmul_classical,
-    expand_fullmul_quantum,
+    expand_fullmul,
     sample_public_randomness,
 )
 from entroseal.rng import RandomSource
@@ -47,16 +48,15 @@ class TestExpansionParams:
                 q = ExpansionParams.quantum(n, ell)
                 assert q.lam == max(ell, 2 * n - ell)
 
-    def test_rejects_inconsistent_sizes(self):
-        with pytest.raises(ParameterError):
-            ExpansionParams(n=8, ell=3, mode=Mode.CLASSICAL, lam=4,
-                            out_len=8, tail_len=5)
-        with pytest.raises(ParameterError):
-            ExpansionParams(n=8, ell=3, mode=Mode.CLASSICAL, lam=5,
-                            out_len=9, tail_len=5)
-        with pytest.raises(ParameterError):
-            ExpansionParams(n=8, ell=3, mode=Mode.CLASSICAL, lam=5,
-                            out_len=8, tail_len=4)
+    def test_sizes_are_derived_from_three_fields(self):
+        names = [f.name for f in dataclasses.fields(ExpansionParams)]
+        assert names == ["n", "ell", "mode"]
+        p = ExpansionParams(8, 3, Mode.CLASSICAL)
+        assert p == ExpansionParams.classical(8, 3)
+        assert (p.lam, p.out_len, p.tail_len) == (5, 8, 5)
+        q = ExpansionParams(8, 3, Mode.QUANTUM)
+        assert q == ExpansionParams.quantum(8, 3)
+        assert (q.lam, q.out_len, q.tail_len) == (13, 16, 13)
 
     def test_rejects_out_of_range_ell(self):
         with pytest.raises(ParameterError):
@@ -149,14 +149,23 @@ class TestExpandAffine:
                     assert pad.value == k | (((u & k) ^ v) << 1)
 
     def test_backend_agreement(self):
+        # the pad's tail matches u * key computed by the bit-serial
+        # reference of each cost model, then reduced and truncated
         rng = random.Random(8)
         exp = ExpansionParams.classical(64, 20)
+        spec = find_irreducible(exp.lam)
         for _ in range(10):
             key = BitPoly(rng.getrandbits(20), 20)
             u = BitPoly(rng.getrandbits(exp.lam), exp.lam)
             v = BitPoly(rng.getrandbits(exp.tail_len), exp.tail_len)
-            assert (expand_affine(key, u, v, exp, Backend.SCHOOLBOOK)
-                    == expand_affine(key, u, v, exp, Backend.KARATSUBA))
+            pad = expand_affine(key, u, v, exp)
+            school, _, _ = clmul_schoolbook_counted(
+                u.value, exp.lam, key.value, exp.lam)
+            kara, _, _ = clmul_karatsuba_counted(u.value, key.value, exp.lam)
+            for prod in (school, kara):
+                field = reduce_mod(BitPoly(prod, 2 * exp.lam), spec)
+                tail = lsb_truncate(field, exp.tail_len) ^ v
+                assert pad == key.concat(tail)
 
     def test_length_validation(self):
         exp = ExpansionParams.classical(16, 9)
@@ -177,8 +186,8 @@ class TestBaselines:
         for _ in range(20):
             key = BitPoly(rng.getrandbits(9), 9)
             i = BitPoly(rng.getrandbits(16), 16)
-            got = expand_fullmul_classical(key, i, exp)
-            want, _ = gf_mul(key.resize(16), i, spec)
+            got = expand_fullmul(key, i, exp)
+            want = gf_mul(key.resize(16), i, spec)
             assert got == want
 
     def test_quantum_baseline_matches_field_oracle(self):
@@ -188,24 +197,26 @@ class TestBaselines:
         for _ in range(20):
             key = BitPoly(rng.getrandbits(5), 5)
             alpha = BitPoly(rng.getrandbits(16), 16)
-            got = expand_fullmul_quantum(key, alpha, exp)
-            want, _ = gf_mul(key.resize(16), alpha, spec)
+            got = expand_fullmul(key, alpha, exp)
+            want = gf_mul(key.resize(16), alpha, spec)
             assert got == want
 
     def test_mode_mismatch_rejected(self):
+        # the multiplier's width follows the mode: n bits classical, 2n
+        # quantum; one sized for the other mode is rejected
         cexp = ExpansionParams.classical(8, 4)
         qexp = ExpansionParams.quantum(8, 4)
         with pytest.raises(PreconditionError):
-            expand_fullmul_classical(BitPoly(0, 4), BitPoly(0, 16), qexp)
+            expand_fullmul(BitPoly(0, 4), BitPoly(0, 16), cexp)
         with pytest.raises(PreconditionError):
-            expand_fullmul_quantum(BitPoly(0, 4), BitPoly(0, 16), cexp)
+            expand_fullmul(BitPoly(0, 4), BitPoly(0, 8), qexp)
 
     def test_baseline_length_validation(self):
         exp = ExpansionParams.classical(8, 4)
         with pytest.raises(LengthError):
-            expand_fullmul_classical(BitPoly(0, 5), BitPoly(0, 8), exp)
+            expand_fullmul(BitPoly(0, 5), BitPoly(0, 8), exp)
         with pytest.raises(LengthError):
-            expand_fullmul_classical(BitPoly(0, 4), BitPoly(0, 7), exp)
+            expand_fullmul(BitPoly(0, 4), BitPoly(0, 7), exp)
 
 
 def test_sample_public_randomness_shapes():
