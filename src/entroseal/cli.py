@@ -174,7 +174,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         method, params.expansion, backend)
                     rec = benchmod.BenchRecord(
                         method=method, backend=backend, mode=args.mode,
-                        n=n, ell=params.ell, lam=params.expansion.lam,
+                        n=n, ell=params.ell,
+                        lam=benchmod._mul_width(method, params.expansion),
                         cost=cost)
                 records.append(rec)
     text, rows = benchmod.emit_table(records)
@@ -238,24 +239,25 @@ def _gf2_suite(seed: int) -> list[SuiteCheck]:
                 ok = False
     out.append(SuiteCheck("inverses-exist-exhaustive", "lam in {5,8}", ok))
 
-    # One evaluation kernel checked against the bit-serial reference of
-    # each cost model; the slower Karatsuba reference sees 5 draws a width.
+    # The kernel, which swaps its operands by width, against the bit-serial
+    # reference of each cost model; Karatsuba's (slow) sees 5 draws a pair.
     ok = True
-    for nu in (8, 64, 243):
-        cs = clmul_cost(nu, nu, Backend.SCHOOLBOOK)
-        ck = clmul_cost(nu, nu, Backend.KARATSUBA)
+    pairs = ((8, 8), (64, 64), (243, 243), (13, 201), (201, 13), (65, 7))
+    for na, nb in pairs:
+        cs = clmul_cost(na, nb, Backend.SCHOOLBOOK)
+        ck = clmul_cost(na, nb, Backend.KARATSUBA)
         for i in range(200):
-            a = BitPoly(rng.getrandbits(nu), nu)
-            b = BitPoly(rng.getrandbits(nu), nu)
+            a = BitPoly(rng.getrandbits(na), na)
+            b = BitPoly(rng.getrandbits(nb), nb)
             p = clmul(a, b).value
             rv, rands, rxors = gf2ref.clmul_schoolbook_counted(
-                a.value, nu, b.value, nu)
+                a.value, na, b.value, nb)
             ok &= rv == p and (cs.ands, cs.xors) == (rands, rxors)
             if i < 5:
                 rv, rands, rxors = gf2ref.clmul_karatsuba_counted(
-                    a.value, b.value, nu)
+                    a.value, b.value, max(na, nb))
                 ok &= rv == p and (ck.ands, ck.xors) == (rands, rxors)
-    out.append(SuiteCheck("backend-equivalence", "nu in {8,64,243} x200", ok))
+    out.append(SuiteCheck("backend-equivalence", f"(na,nb) in {pairs} x200", ok))
 
     ok = True
     for lam in (8, 127, 243):

@@ -4,12 +4,12 @@ A polynomial a(x) = sum a_i x^i with a_i in {0,1} is stored as a Python
 integer whose bit i is the coefficient a_i, together with an explicit
 bit-length so that fixed-width strings and polynomials share one type.
 Computing and counting are separate: :func:`clmul`, :func:`reduce_mod`
-and :func:`gf_mul` return only the exact product, always evaluated by
-one kernel, while :func:`clmul_cost` and :func:`reduce_cost` give the
-number of two-input AND and XOR gates a hardware realization of the
-chosen :class:`Backend` would use. The counting rules are mirrored
-bit-serially in :mod:`entroseal.gf2ref` and the two are tested against
-each other.
+and :func:`gf_mul` return only the exact product, evaluated by one 8-bit
+windowed comb, while :func:`clmul_cost` and :func:`reduce_cost` count the
+two-input AND and XOR gates a hardware realization of the chosen
+:class:`Backend` would use (Karatsuba is a count model only). The
+counting rules are mirrored bit-serially in :mod:`entroseal.gf2ref` and
+the two are tested against each other.
 """
 
 from __future__ import annotations
@@ -37,13 +37,7 @@ __all__ = [
     "lsb_truncate",
     "is_irreducible",
     "find_irreducible",
-    "KARATSUBA_LEAF_BITS",
 ]
-
-# Below this operand width the Karatsuba *evaluation* falls back to the
-# shift-and-xor kernel; gate counts always follow the full recurrence,
-# so this constant affects wall time only, never reported costs.
-KARATSUBA_LEAF_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -160,23 +154,23 @@ def _mul_int(a: int, b: int) -> int:
     return acc
 
 
-def _kara_int(av: int, bv: int, nbits: int) -> int:
-    """Karatsuba on equal-width operands, recursing on the high half size.
+def _comb_int(a: int, b: int) -> int:
+    """Carry-less product of two coefficient masks (8-bit windowed comb).
 
-    Splitting at m = ceil(nbits/2) puts the larger piece low, which keeps
-    the recursion depth logarithmic for any width, not just powers of two.
+    With a the wider operand, tabulates a*w for every byte w, one XOR per
+    entry, then adds one shifted entry per nonzero byte of b.
     """
-    if nbits <= KARATSUBA_LEAF_BITS:
-        return _mul_int(av, bv)
-    m = (nbits + 1) // 2
-    mask = (1 << m) - 1
-    a0, a1 = av & mask, av >> m
-    b0, b1 = bv & mask, bv >> m
-    p0 = _kara_int(a0, b0, m)
-    p1 = _kara_int(a1, b1, nbits - m)
-    pm = _kara_int(a0 ^ a1, b0 ^ b1, m)
-    mid = pm ^ p0 ^ p1
-    return p0 ^ (mid << m) ^ (p1 << (2 * m))
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    table = [0]
+    for k in range(8):
+        ak = a << k
+        table += [t ^ ak for t in table]
+    acc = 0
+    for i, w in enumerate(b.to_bytes((b.bit_length() + 7) // 8, "little")):
+        if w:
+            acc ^= table[w] << (8 * i)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -227,11 +221,10 @@ def clmul_cost(na: int, nb: int, backend: Backend = Backend.SCHOOLBOOK) -> OpCou
 def clmul(a: BitPoly, b: BitPoly) -> BitPoly:
     """Carry-less (polynomial) product, of width ``a.nbits + b.nbits``.
 
-    Evaluated by Karatsuba over the wider operand's width, down to the
-    shift-and-xor leaf. Gate counts come from :func:`clmul_cost`.
+    Evaluated by one 8-bit windowed comb; gate counts come from
+    :func:`clmul_cost`.
     """
-    width = max(a.nbits, b.nbits)
-    return BitPoly(_kara_int(a.value, b.value, width), a.nbits + b.nbits)
+    return BitPoly(_comb_int(a.value, b.value), a.nbits + b.nbits)
 
 
 @dataclass(frozen=True)
@@ -476,16 +469,8 @@ class _SmallFactorSieve:
 
     def __init__(self, lam: int):
         self.lam = lam
-        self._tables: list[tuple[int, np.ndarray, int]] = []
-        for g in _small_irreducibles(self.MAX_DEGREE):
-            period = _multiplicative_order_of_x(g)
-            cyc = np.empty(period, dtype=np.uint16)
-            r = 1
-            for e in range(period):
-                cyc[e] = r
-                r = _polymod_int(r << 1, g)
-            base = int(cyc[lam % period])
-            self._tables.append((period, cyc, base))
+        self._tables = [(period, cyc, int(cyc[lam % period]))
+                        for period, cyc in _sieve_cycles()]
 
     def has_small_factor(self, f: int) -> bool:
         exps = _exponents_desc(f ^ (1 << self.lam))
@@ -496,6 +481,26 @@ class _SmallFactorSieve:
             if r == 0:
                 return True
         return False
+
+
+@lru_cache(maxsize=1)
+def _sieve_cycles() -> tuple[tuple[int, np.ndarray], ...]:
+    """(period, x^e mod g for e < period) per sieve irreducible g.
+
+    Independent of lam, so built once per process and shared read-only.
+    """
+    out = []
+    for gs in _small_irreducible_cache().values():
+        for g in gs:
+            period = _multiplicative_order_of_x(g)
+            cyc = np.empty(period, dtype=np.uint16)
+            r = 1
+            for e in range(period):
+                cyc[e] = r
+                r = _polymod_int(r << 1, g)
+            cyc.flags.writeable = False
+            out.append((period, cyc))
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)
@@ -517,14 +522,6 @@ def _small_irreducible_cache() -> dict[int, list[int]]:
                 found.append(v)
         by_degree[d] = found
     return by_degree
-
-
-def _small_irreducibles(max_degree: int) -> list[int]:
-    cache = _small_irreducible_cache()
-    out = []
-    for d in range(1, max_degree + 1):
-        out.extend(cache[d])
-    return out
 
 
 def _multiplicative_order_of_x(g: int) -> int:

@@ -252,6 +252,22 @@ class TestBench:
         methods = {r["method"] for r in json.loads(out)}
         assert methods == {"affine", "fullmul-classical"}
 
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_lam_is_the_multiply_width_counted_or_timed(self, capsys, mode):
+        argv = ["bench", "--sizes", "64", "--t", "32", "--epsilon", "2^-10",
+                "--mode", mode, "--format", "json"]
+        lams = []
+        for extra in ([], ["--reps", "31"]):
+            rc, out, _ = run(capsys, argv + extra)
+            assert rc == 0
+            lams.append([(r["method"], r["backend"], r["lam"])
+                         for r in json.loads(out)])
+        assert lams[0] == lams[1]
+        # the baseline multiplies at the full output width: 64 classical,
+        # 128 quantum (n = 64 qubits)
+        full = {lam for method, _, lam in lams[0] if method != "affine"}
+        assert full == {64 if mode == "classical" else 128}
+
     def test_bad_reps_is_exit_2(self, capsys):
         rc, _, err = run(capsys, [
             "bench", "--sizes", "16", "--reps", "5"])

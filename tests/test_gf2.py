@@ -28,6 +28,7 @@ from entroseal.gf2ref import (
     clmul_karatsuba_counted,
     clmul_schoolbook_counted,
     irreducible_by_trial_division,
+    polydivmod,
     reduce_by_division,
     smallest_irreducible_lowweight_exhaustive,
 )
@@ -133,16 +134,36 @@ def test_clmul_matches_references_randomized(width):
         assert (ck.ands, ck.xors) == (kands, kxors)
 
 
-def test_clmul_crosses_the_leaf_width():
-    # widths straddling KARATSUBA_LEAF_BITS exercise both the leaf kernel
-    # and at least one recursion level of the evaluator
-    rng = random.Random(7)
-    for width in (gf2.KARATSUBA_LEAF_BITS - 1, gf2.KARATSUBA_LEAF_BITS,
-                  gf2.KARATSUBA_LEAF_BITS + 1, 2 * gf2.KARATSUBA_LEAF_BITS + 5):
-        a = rng.getrandbits(width) | (1 << (width - 1))
-        b = rng.getrandbits(width) | 1
-        prod = clmul(BitPoly(a, width), BitPoly(b, width))
-        assert prod == BitPoly(gf2._mul_int(a, b), 2 * width)
+def _comb_operands(width, rng):
+    """Operands of one width where a byte-windowed comb could slip: zero,
+    a power of x, the top bit alone, all ones, a lone top byte, a zero
+    low byte, a zero byte inside, and (last) a random full-width value."""
+    top = 8 * ((width - 1) // 8)  # shift of the highest byte
+    mid = 8 * (top // 16)  # shift of a byte inside, below the top one
+    rand = rng.getrandbits(width) | (1 << (width - 1))
+    return [0, 1 << rng.randrange(width), 1 << (width - 1), (1 << width) - 1,
+            rand >> top << top, rand & ~0xFF, rand & ~(0xFF << mid), rand]
+
+
+COMB_WIDTHS = (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257)
+COMB_UNEQUAL = ((1, 257), (7, 65), (8, 15), (9, 256), (16, 255), (17, 63))
+
+
+def test_clmul_comb_matches_schoolbook_at_byte_edges():
+    # widths on both sides of byte boundaries, equal and unequal in both
+    # argument orders (the comb swaps its operands by width); each special
+    # operand meets a random one, plus zero times zero
+    rng = random.Random(0xC0B)
+    pairs = [(w, w) for w in COMB_WIDTHS]
+    pairs += [p for na, nb in COMB_UNEQUAL for p in ((na, nb), (nb, na))]
+    for na, nb in pairs:
+        ops_a, ops_b = _comb_operands(na, rng), _comb_operands(nb, rng)
+        cases = [(a, ops_b[-1]) for a in ops_a]
+        cases += [(ops_a[-1], b) for b in ops_b] + [(0, 0)]
+        for a, b in cases:
+            want, _, _ = clmul_schoolbook_counted(a, na, b, nb)
+            prod = clmul(BitPoly(a, na), BitPoly(b, nb))
+            assert prod == BitPoly(want, na + nb), (na, nb, hex(a), hex(b))
 
 
 def test_clmul_zero_width_operand():
@@ -209,10 +230,7 @@ def test_karatsuba_power_of_two_is_power_of_three():
 
 def test_karatsuba_pads_mixed_widths():
     assert clmul_cost(5, 3, Backend.KARATSUBA) == clmul_cost(5, 5, Backend.KARATSUBA)
-    prod = clmul(BitPoly(0b10011, 5), BitPoly(0b101, 3))
-    want, _, _ = clmul_schoolbook_counted(0b10011, 5, 0b101, 3)
-    assert prod.value == want
-    assert prod.nbits == 8
+    assert clmul_cost(3, 5, Backend.KARATSUBA) == clmul_cost(5, 5, Backend.KARATSUBA)
 
 
 def test_opcount_add_and_total():
@@ -434,6 +452,33 @@ def test_modulus_table_entries_are_irreducible():
         assert spec.weight in (3, 5)
         assert spec.modulus.value & 1
         assert is_irreducible(spec.modulus), f"table entry {lam} is reducible"
+
+
+def test_small_factor_sieve_matches_trial_division():
+    # one process, two lambdas: the lam-independent cycle tables are built
+    # once and shared, and each sieve must still answer for its own lam
+    small = [g for g in range(3, 1 << 13, 2)
+             if irreducible_by_trial_division(g)]
+    assert len(small) == 746  # every irreducible of degree <= 12 but x
+    rng = random.Random(0x51E7E)
+    for lam in (61, 130):
+        sieve = gf2._SmallFactorSieve(lam)
+        candidates = []
+        for _ in range(25):
+            f = (1 << lam) | 1
+            for e in rng.sample(range(1, lam), rng.choice((1, 3))):
+                f |= 1 << e
+            candidates.append(f)
+        # products whose only small factor has the sieve's top degree, 12
+        h = find_irreducible(lam - 12).modulus.value
+        top = [g for g in small if g.bit_length() == 13]
+        candidates += [gf2._mul_int(g, h) for g in rng.sample(top, 3)]
+        seen = set()
+        for f in candidates:
+            want = any(polydivmod(f, g)[1] == 0 for g in small)
+            assert sieve.has_small_factor(f) == want, (lam, hex(f))
+            seen.add(want)
+        assert seen == {True, False}
 
 
 def test_no_trinomials_at_degrees_divisible_by_eight():

@@ -1,11 +1,11 @@
 """Seeded golden vectors at production sizes.
 
-The wire golden in test_wire.py is 16 bits wide and never leaves the
-schoolbook leaf of the Karatsuba evaluator; these vectors pin the
-ciphertext bytes, the modulus choice and the gate counts at sizes that
-recurse through several Karatsuba levels. They use only the public API,
-so any refactor of the kernels or the expansion must reproduce them
-byte for byte.
+The wire golden in test_wire.py is 16 bits wide, two bytes for the
+8-bit windowed comb; these vectors pin the ciphertext bytes, the modulus
+choice and the gate counts at sizes where the comb runs over hundreds of
+bytes and the Karatsuba count model over several levels. They use only
+the public API, so any refactor of the kernels or the expansion must
+reproduce them byte for byte.
 """
 
 import hashlib
@@ -19,7 +19,7 @@ from entroseal.gf2 import Backend, OpCount, find_irreducible
 from entroseal.rng import RandomSource
 
 # The README example: n = 4096, t = 2048, eps = 2^-40 gives ell = lambda
-# = 2123, a table modulus, and a product well above KARATSUBA_LEAF_BITS.
+# = 2123, a table modulus, and a product of two 266-byte operands.
 CLASSICAL = dict(n=4096, t=2048, epsilon=2.0 ** -40, mode="classical")
 CLASSICAL_SHA256 = (
     "fc42d09056b7bcdc5a023cf80e8c9c2db8b36cd2ce47f04bbc304305881daae0")
