@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (FormatError, LengthError, ParameterError,
                      PreconditionError, WireErrorCode)
@@ -132,32 +133,30 @@ def indistinguishability_key_length(n: int, t: float, epsilon: float) -> int:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Validated scheme parameters plus the derived expansion sizes."""
+    """Validated scheme parameters; the key length and sizes are derived."""
 
     n: int
     t: float
     epsilon: float
     mode: Mode
-    ell: int
-    expansion: ExpansionParams
 
     def __post_init__(self) -> None:
-        want = derive_key_length(self.n, self.t, self.epsilon, self.mode)
-        if self.ell != want:
-            raise ParameterError(
-                f"ell = {self.ell} does not match the derived value {want}"
-            )
-        if (self.expansion.n, self.expansion.ell, self.expansion.mode) != (
-                self.n, self.ell, self.mode):
-            raise ParameterError("expansion sizes disagree with parameters")
+        self.expansion  # derive now, so bad parameters fail at construction
+
+    @cached_property
+    def expansion(self) -> ExpansionParams:
+        """Expansion sizes for (n, ell, mode), ell from derive_key_length."""
+        ell = derive_key_length(self.n, self.t, self.epsilon, self.mode)
+        return ExpansionParams(self.n, ell, self.mode)
+
+    @property
+    def ell(self) -> int:
+        return self.expansion.ell
 
     @classmethod
     def derive(cls, n: int, t: float, epsilon: float,
                mode: Mode | str = Mode.CLASSICAL) -> "SchemeParams":
-        mode = Mode.parse(mode)
-        ell = derive_key_length(n, t, epsilon, mode)
-        return cls(n=n, t=t, epsilon=epsilon, mode=mode, ell=ell,
-                   expansion=ExpansionParams(n, ell, mode))
+        return cls(n=n, t=t, epsilon=epsilon, mode=Mode.parse(mode))
 
 
 def _expansion_of(params) -> ExpansionParams:

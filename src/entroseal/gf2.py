@@ -10,13 +10,17 @@ two-input AND and XOR gates a hardware realization of the chosen
 :class:`Backend` would use (Karatsuba is a count model only). The
 counting rules are mirrored bit-serially in :mod:`entroseal.gf2ref` and
 the two are tested against each other.
+
+:func:`find_irreducible` picks each field's modulus on one path: a table
+of precomputed moduli or else a scan (small-factor sieve, then Rabin's
+test), cached per degree by ``lru_cache``, with every modulus turned into
+a :class:`FieldSpec` by one constructor.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-import threading
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -252,14 +256,21 @@ class FieldSpec:
         return len(self.reduction_exponents) + 1
 
     @classmethod
-    def from_modulus(cls, modulus: BitPoly, verify: bool = True) -> "FieldSpec":
+    def from_modulus(cls, modulus: BitPoly) -> "FieldSpec":
+        """The field of ``modulus``; raises unless it is irreducible."""
+        spec = cls._of_irreducible(modulus)
+        if not is_irreducible(spec.modulus):
+            raise PreconditionError(
+                f"{spec.modulus!r} is not irreducible over GF(2)")
+        return spec
+
+    @classmethod
+    def _of_irreducible(cls, modulus: BitPoly) -> "FieldSpec":
+        """The field of a modulus the caller knows to be irreducible."""
         lam = modulus.degree
         if lam < 1:
             raise PreconditionError("modulus must have degree >= 1")
-        if modulus.nbits != lam + 1:
-            modulus = BitPoly(modulus.value, lam + 1)
-        if verify and not is_irreducible(modulus):
-            raise PreconditionError(f"{modulus!r} is not irreducible over GF(2)")
+        modulus = BitPoly(modulus.value, lam + 1)
         rest = _exponents_desc(modulus.value ^ (1 << lam))
         return cls(lam=lam, modulus=modulus, reduction_exponents=rest)
 
@@ -318,7 +329,7 @@ def lsb_truncate(p: BitPoly, m: int) -> BitPoly:
 
 
 # ---------------------------------------------------------------------------
-# Irreducibility testing
+# Irreducibility testing and the modulus lookup
 # ---------------------------------------------------------------------------
 
 def _polymod_int(a: int, m: int) -> int:
@@ -361,27 +372,22 @@ def _polygcd_int(a: int, b: int) -> int:
     return a
 
 
-_SPREAD16 = None
-_spread_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def _spread_table() -> "np.ndarray":
     """uint32 table interleaving a zero bit after each bit of a 16-bit word.
 
     Squaring a GF(2) polynomial just spaces its coefficients out, so a
     word-level spread table turns squaring into a vectorized gather.
+    Built once per process and shared read-only.
     """
-    global _SPREAD16
-    if _SPREAD16 is None:
-        with _spread_lock:
-            if _SPREAD16 is None:
-                x = np.arange(65536, dtype=np.uint64)
-                x = (x | (x << 8)) & 0x00FF00FF
-                x = (x | (x << 4)) & 0x0F0F0F0F
-                x = (x | (x << 2)) & 0x33333333
-                x = (x | (x << 1)) & 0x55555555
-                _SPREAD16 = x.astype(np.uint32)
-    return _SPREAD16
+    x = np.arange(65536, dtype=np.uint64)
+    x = (x | (x << 8)) & 0x00FF00FF
+    x = (x | (x << 4)) & 0x0F0F0F0F
+    x = (x | (x << 2)) & 0x33333333
+    x = (x | (x << 1)) & 0x55555555
+    table = x.astype(np.uint32)
+    table.flags.writeable = False
+    return table
 
 
 def _square_int(v: int) -> int:
@@ -426,20 +432,14 @@ def _is_irreducible_frobenius(f: int, lam: int) -> bool:
         def red(v: int) -> int:
             return _polymod_int(v, f)
     checkpoints = {lam // p for p in _prime_factors(lam)}
-    b = red(2)  # the polynomial x
+    x = red(2)  # the polynomial x, reduced (x + 1 at lam = 1)
+    b = x
     for i in range(1, lam + 1):
         b = red(_square_int(b))
         if i in checkpoints and i < lam:
-            if _polygcd_int(b ^ 2, f) != 1:
+            if _polygcd_int(b ^ x, f) != 1:
                 return False
-    return b == 2
-
-
-def _irreducible_by_sieve_then_rabin(f: int, lam: int,
-                                     sieve: "_SmallFactorSieve | None") -> bool:
-    if sieve is not None and sieve.has_small_factor(f):
-        return False
-    return _is_irreducible_frobenius(f, lam)
+    return b == x
 
 
 def is_irreducible(p: BitPoly) -> bool:
@@ -487,67 +487,30 @@ class _SmallFactorSieve:
 def _sieve_cycles() -> tuple[tuple[int, np.ndarray], ...]:
     """(period, x^e mod g for e < period) per sieve irreducible g.
 
-    Independent of lam, so built once per process and shared read-only.
+    The g are the irreducibles of degree 1 .. 12 except x, in ascending
+    order. Each table is one walk x^e -> x^(e+1) mod g (a shift and a
+    conditional XOR) until it returns to 1, so its length is the order of
+    x mod g. Independent of lam, so built once per process and shared
+    read-only.
     """
     out = []
-    for gs in _small_irreducible_cache().values():
-        for g in gs:
-            period = _multiplicative_order_of_x(g)
-            cyc = np.empty(period, dtype=np.uint16)
-            r = 1
-            for e in range(period):
-                cyc[e] = r
-                r = _polymod_int(r << 1, g)
-            cyc.flags.writeable = False
-            out.append((period, cyc))
+    for g in range(3, 1 << (_SmallFactorSieve.MAX_DEGREE + 1), 2):
+        d = g.bit_length() - 1
+        if not is_irreducible(BitPoly(g, d + 1)):
+            continue
+        walk, r = [], 1
+        while not walk or r != 1:
+            walk.append(r)
+            r <<= 1
+            if r >> d:
+                r ^= g
+        cyc = np.array(walk, dtype=np.uint16)
+        cyc.flags.writeable = False
+        out.append((len(walk), cyc))
     return tuple(out)
 
 
-@lru_cache(maxsize=1)
-def _small_irreducible_cache() -> dict[int, list[int]]:
-    """All irreducible polynomials over GF(2) by degree, up to degree 12."""
-    by_degree: dict[int, list[int]] = {1: [3]}  # x + 1; x itself is excluded
-    for d in range(2, _SmallFactorSieve.MAX_DEGREE + 1):
-        found = []
-        for v in range((1 << d) + 1, 1 << (d + 1), 2):
-            composite = False
-            for dd in range(1, d // 2 + 1):
-                for g in by_degree.get(dd, []):
-                    if _polymod_int(v, g) == 0:
-                        composite = True
-                        break
-                if composite:
-                    break
-            if not composite:
-                found.append(v)
-        by_degree[d] = found
-    return by_degree
-
-
-def _multiplicative_order_of_x(g: int) -> int:
-    """Order of x in (GF(2)[x]/g)^* for irreducible g with g(0) = 1."""
-    d = g.bit_length() - 1
-    n = (1 << d) - 1
-    order = n
-    for p in _prime_factors(n):
-        while order % p == 0 and _powmod_x(order // p, g) == 1:
-            order //= p
-    return order
-
-
-def _powmod_x(e: int, g: int) -> int:
-    """x^e mod g by square and multiply."""
-    result = 1
-    base = _polymod_int(2, g)
-    while e:
-        if e & 1:
-            result = _polymod_int(_mul_int(result, base), g)
-        base = _polymod_int(_mul_int(base, base), g)
-        e >>= 1
-    return result
-
-
-# Moduli whose live search would take minutes to hours: lexicographically
+# Moduli whose live search takes seconds to hours: lexicographically
 # smallest irreducible of minimal weight at each degree, found by the same
 # scan find_irreducible performs (trinomials in ascending middle exponent,
 # then pentanomials in ascending (a, b, c)). Each entry is re-verified for
@@ -556,22 +519,13 @@ _MODULUS_TABLE: dict[int, tuple[int, ...]] = {
     1037: (12, 7, 2, 0),
     2048: (19, 14, 13, 0),
     2123: (14, 11, 3, 0),
+    4096: (27, 15, 1, 0),
     16397: (32, 21, 11, 0),
     32768: (71, 4, 1, 0),
 }
 
 
-def _modulus_from_exponents(lam: int, exps: tuple[int, ...]) -> BitPoly:
-    v = 1 << lam
-    for e in exps:
-        v |= 1 << e
-    return BitPoly(v, lam + 1)
-
-
-_find_lock = threading.Lock()
-_find_cache: dict[int, FieldSpec] = {}
-
-
+@lru_cache(maxsize=None)
 def find_irreducible(lam: int) -> FieldSpec:
     """Lexicographically smallest low-weight irreducible of degree lam.
 
@@ -581,50 +535,38 @@ def find_irreducible(lam: int) -> FieldSpec:
     always 1 (a polynomial divisible by x is never irreducible for
     lam >= 2), which for lam = 1 pins the choice to x + 1.
 
-    Results are cached per degree; a handful of large degrees are served
+    Results are cached per degree (two threads may both compute a miss;
+    the cache stays consistent); a handful of large degrees are served
     from a precomputed table produced by this same scan.
     """
     if lam < 1:
         raise PreconditionError("degree must be >= 1")
-    with _find_lock:
-        hit = _find_cache.get(lam)
-    if hit is not None:
-        return hit
-    if lam == 1:
-        spec = FieldSpec.from_modulus(BitPoly(0b11, 2), verify=False)
-    elif lam in _MODULUS_TABLE:
-        spec = FieldSpec.from_modulus(
-            _modulus_from_exponents(lam, _MODULUS_TABLE[lam]), verify=False)
+    if lam in _MODULUS_TABLE:
+        modulus = (1 << lam) | sum(1 << e for e in _MODULUS_TABLE[lam])
     else:
-        spec = FieldSpec.from_modulus(_scan_for_irreducible(lam), verify=False)
-    with _find_lock:
-        _find_cache[lam] = spec
-    return spec
+        modulus = _scan_for_irreducible(lam)
+    return FieldSpec._of_irreducible(BitPoly(modulus, lam + 1))
 
 
-def _scan_for_irreducible(lam: int) -> BitPoly:
-    if lam <= _SmallFactorSieve.MAX_DEGREE:
-        # The sieve's tables would contain the candidate itself here, so
-        # run the same scan with Rabin's test alone.
-        sieve = None
-    else:
-        sieve = _SmallFactorSieve(lam)
+def _scan_for_irreducible(lam: int) -> int:
+    """First irreducible of degree lam in find_irreducible's scan order."""
     base = (1 << lam) | 1
-    if lam % 8 != 0:
-        # Swan's theorem rules out irreducible trinomials of degree
-        # divisible by 8, so that pass is provably empty when 8 | lam.
-        for m in range(1, lam):
-            f = base | (1 << m)
-            if _irreducible_by_sieve_then_rabin(f, lam, sieve):
-                return BitPoly(f, lam + 1)
-    for a in range(3, lam):
-        for b in range(2, a):
-            for c in range(1, b):
-                f = base | (1 << a) | (1 << b) | (1 << c)
-                if _irreducible_by_sieve_then_rabin(f, lam, sieve):
-                    return BitPoly(f, lam + 1)
+    # Swan's theorem rules out irreducible trinomials of degree divisible
+    # by 8, so that pass is provably empty when 8 | lam.
+    trinomials = (base | (1 << m) for m in range(1, lam)) if lam % 8 else ()
+    pentanomials = (base | (1 << a) | (1 << b) | (1 << c)
+                    for a in range(3, lam)
+                    for b in range(2, a)
+                    for c in range(1, b))
     # No tri- or pentanomial (possible in principle); fall back to any mask.
-    for v in range(base, 1 << (lam + 1), 2):
-        if _irreducible_by_sieve_then_rabin(v, lam, sieve):
-            return BitPoly(v, lam + 1)
+    masks = range(base, 1 << (lam + 1), 2)
+    # At lam <= 12 the sieve's tables would contain the candidate itself,
+    # so the same scan runs with Rabin's test alone.
+    sieve = (_SmallFactorSieve(lam)
+             if lam > _SmallFactorSieve.MAX_DEGREE else None)
+    for f in itertools.chain(trinomials, pentanomials, masks):
+        if sieve is not None and sieve.has_small_factor(f):
+            continue
+        if _is_irreducible_frobenius(f, lam):
+            return f
     raise PreconditionError(f"no irreducible of degree {lam} found")

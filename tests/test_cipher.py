@@ -130,15 +130,17 @@ class TestSchemeParams:
         with pytest.raises(ParameterError, match="unknown mode"):
             derive_key_length(16, 0, 2.0 ** -5, "sideways")
 
-    def test_mismatched_ell_rejected(self):
-        with pytest.raises(ParameterError, match="derived value"):
-            SchemeParams(n=128, t=64, epsilon=2.0 ** -32, mode=Mode.CLASSICAL,
-                         ell=100, expansion=ExpansionParams.classical(128, 100))
-
-    def test_mismatched_expansion_rejected(self):
-        with pytest.raises(ParameterError, match="expansion"):
-            SchemeParams(n=128, t=64, epsilon=2.0 ** -32, mode=Mode.CLASSICAL,
-                         ell=123, expansion=ExpansionParams.classical(130, 123))
+    def test_sizes_are_derived_from_four_fields(self):
+        for n, t, k, mode in [(128, 64, 32, Mode.CLASSICAL),
+                              (16, 0, 5, Mode.QUANTUM)]:
+            p = SchemeParams(n, t, 2.0 ** -k, mode)
+            assert p == SchemeParams.derive(n, t, 2.0 ** -k, mode)
+            ell = derive_key_length(n, t, 2.0 ** -k, mode)
+            assert p.ell == ell
+            assert p.expansion == ExpansionParams(n, ell, mode)
+        with pytest.raises(ParameterError, match="finite"):
+            SchemeParams(n=128, t=math.nan, epsilon=2.0 ** -32,
+                         mode=Mode.CLASSICAL)
 
 
 def test_gen_draws_ell_bits():

@@ -433,6 +433,15 @@ def test_find_irreducible_standard_large_degrees():
     assert find_irreducible(64).reduction_exponents == (4, 3, 1, 0)
 
 
+def test_rabin_agrees_with_trial_division_from_degree_one():
+    # Rabin's test compares with x reduced mod f: at degree 1 that is
+    # x + 1 -> 1, and comparing with x unreduced rejected x + 1
+    for f in range(3, 1 << 9, 2):
+        want = irreducible_by_trial_division(f)
+        assert gf2._is_irreducible_frobenius(f, f.bit_length() - 1) == want
+    assert gf2._scan_for_irreducible(1) == 0b11
+
+
 def test_find_irreducible_is_cached():
     assert find_irreducible(8) is find_irreducible(8)
 
@@ -451,7 +460,8 @@ def test_modulus_table_entries_are_irreducible():
         assert spec.reduction_exponents == tuple(sorted(exps, reverse=True))
         assert spec.weight in (3, 5)
         assert spec.modulus.value & 1
-        assert is_irreducible(spec.modulus), f"table entry {lam} is reducible"
+        # from_modulus raises if the served modulus is reducible
+        assert spec == FieldSpec.from_modulus(spec.modulus)
 
 
 def test_small_factor_sieve_matches_trial_division():

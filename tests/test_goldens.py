@@ -46,7 +46,8 @@ COUNTS = {
 }
 
 # Non-leading exponents of the modulus for every field the vectors above
-# use; 4096 is scanned live (no trinomial exists at a multiple of 8).
+# use; all four are served from the modulus table, and 4096 was recorded
+# from the live scan (no trinomial exists at a multiple of 8).
 MODULI = {
     1037: (12, 7, 2, 0),
     2048: (19, 14, 13, 0),
