@@ -133,7 +133,10 @@ def indistinguishability_key_length(n: int, t: float, epsilon: float) -> int:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Validated scheme parameters; the key length and sizes are derived."""
+    """Validated scheme parameters; the key length and sizes are derived.
+
+    mode accepts the enum or its string value and is stored as the enum.
+    """
 
     n: int
     t: float
@@ -141,6 +144,7 @@ class SchemeParams:
     mode: Mode
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", Mode.parse(self.mode))
         self.expansion  # derive now, so bad parameters fail at construction
 
     @cached_property
@@ -156,7 +160,7 @@ class SchemeParams:
     @classmethod
     def derive(cls, n: int, t: float, epsilon: float,
                mode: Mode | str = Mode.CLASSICAL) -> "SchemeParams":
-        return cls(n=n, t=t, epsilon=epsilon, mode=Mode.parse(mode))
+        return cls(n=n, t=t, epsilon=epsilon, mode=mode)
 
 
 def _expansion_of(params) -> ExpansionParams:
@@ -181,6 +185,7 @@ class Ciphertext:
     payload: BitPoly
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", Mode.parse(self.mode))
         exp = self.expansion
         if self.u.nbits != exp.lam:
             raise LengthError(f"u must have {exp.lam} bits, got {self.u.nbits}")

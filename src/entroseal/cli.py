@@ -2,8 +2,12 @@
 verification suites, and benchmarks.
 
 Exit codes: 0 success, 1 verification found a failing check,
-2 bad parameters, 3 key file too short, 4 malformed ciphertext,
-5 file I/O problems.
+2 bad parameters or an unsupported configuration, 3 key file too short,
+4 malformed ciphertext, 5 file I/O problems or a failed OS randomness
+source, 6 internal error (any other library error).
+
+Only ``verify`` loads the exact labs (and ``verify quantum`` numpy), so
+``encrypt`` and ``decrypt`` start without them.
 """
 
 from __future__ import annotations
@@ -15,13 +19,11 @@ import random
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bench as benchmod
-from . import gf2ref, qlab, statlab
 from .cipher import (SchemeParams, decrypt, deserialize, encrypt,
                      indistinguishability_key_length, serialize)
-from .errors import (BudgetError, EntrosealError, FormatError, ParameterError,
+from .errors import (BudgetError, ConfigurationError, DominationError,
+                     EntropyError, EntrosealError, FormatError, ParameterError,
                      PreconditionError)
 from .gf2 import (Backend, BitPoly, clmul, clmul_cost, find_irreducible,
                   gf_mul, is_irreducible, reduce_mod)
@@ -69,6 +71,7 @@ def _list_of(parse_item):
 
 
 def _default_budget() -> int:
+    from . import statlab
     env = os.environ.get("ENTROSEAL_BUDGET")
     if env:
         try:
@@ -206,6 +209,7 @@ class SuiteCheck:
 
 
 def _gf2_suite(seed: int) -> list[SuiteCheck]:
+    from . import gf2ref
     out = []
     rng = random.Random(seed)
 
@@ -280,6 +284,7 @@ def _gf2_suite(seed: int) -> list[SuiteCheck]:
 
 
 def _classical_suite(seed: int, budget: int) -> list:
+    from . import statlab
     del seed  # the classical suite is exact and needs no randomness
     out = []
     for n in (3, 4):
@@ -301,6 +306,8 @@ def _classical_suite(seed: int, budget: int) -> list:
 
 
 def _quantum_suite(seed: int) -> list:
+    import numpy as np
+    from . import qlab
     out = []
     for n, dim_e in ((1, 2), (2, 2)):
         for idx in range(3):
@@ -437,12 +444,16 @@ def main(argv: list[str] | None = None) -> int:
     except ShortKeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParameterError, PreconditionError, BudgetError) as exc:
+    except (ParameterError, PreconditionError, BudgetError,
+            ConfigurationError, DominationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, EntropyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except EntrosealError as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -14,17 +14,18 @@ the two are tested against each other.
 :func:`find_irreducible` picks each field's modulus on one path: a table
 of precomputed moduli or else a scan (small-factor sieve, then Rabin's
 test), cached per degree by ``lru_cache``, with every modulus turned into
-a :class:`FieldSpec` by one constructor.
+a :class:`FieldSpec` by one constructor. Only the standard library is
+used: Rabin's squarings spread bytes through ``bytes.translate`` tables
+and the sieve's tables are 16-bit ``array`` views.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import ConfigurationError, LengthError, PreconditionError
 
@@ -372,33 +373,25 @@ def _polygcd_int(a: int, b: int) -> int:
     return a
 
 
-@lru_cache(maxsize=None)
-def _spread_table() -> "np.ndarray":
-    """uint32 table interleaving a zero bit after each bit of a 16-bit word.
-
-    Squaring a GF(2) polynomial just spaces its coefficients out, so a
-    word-level spread table turns squaring into a vectorized gather.
-    Built once per process and shared read-only.
-    """
-    x = np.arange(65536, dtype=np.uint64)
-    x = (x | (x << 8)) & 0x00FF00FF
-    x = (x | (x << 4)) & 0x0F0F0F0F
-    x = (x | (x << 2)) & 0x33333333
-    x = (x | (x << 1)) & 0x55555555
-    table = x.astype(np.uint32)
-    table.flags.writeable = False
-    return table
+# Squaring a GF(2) polynomial just spaces its coefficients out: byte w of v
+# becomes two bytes, its low and its high nibble with a zero bit after
+# each bit.
+_SPREAD_LOW = bytes(sum(((w >> i) & 1) << (2 * i) for i in range(4))
+                    for w in range(256))
+_SPREAD_HIGH = bytes(_SPREAD_LOW[w >> 4] for w in range(256))
 
 
 def _square_int(v: int) -> int:
-    """Square of a GF(2) polynomial: interleave zeros between coefficients."""
-    if v < (1 << 16):
-        return int(_spread_table()[v])
-    nwords = (v.bit_length() + 15) // 16
-    raw = v.to_bytes(2 * nwords, "little")
-    words = np.frombuffer(raw, dtype="<u2").astype(np.intp)
-    spread = _spread_table()[words].astype("<u4")
-    return int.from_bytes(spread.tobytes(), "little")
+    """Square of a GF(2) polynomial: interleave zeros between coefficients.
+
+    Each byte is spread by two ``bytes.translate`` tables, one per nibble,
+    whose outputs interleave into the even and odd bytes of the square.
+    """
+    raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
+    out = bytearray(2 * len(raw))
+    out[0::2] = raw.translate(_SPREAD_LOW)
+    out[1::2] = raw.translate(_SPREAD_HIGH)
+    return int.from_bytes(out, "little")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -469,7 +462,7 @@ class _SmallFactorSieve:
 
     def __init__(self, lam: int):
         self.lam = lam
-        self._tables = [(period, cyc, int(cyc[lam % period]))
+        self._tables = [(period, cyc, cyc[lam % period])
                         for period, cyc in _sieve_cycles()]
 
     def has_small_factor(self, f: int) -> bool:
@@ -477,21 +470,21 @@ class _SmallFactorSieve:
         for period, cyc, base in self._tables:
             r = base
             for e in exps:
-                r ^= int(cyc[e % period])
+                r ^= cyc[e % period]
             if r == 0:
                 return True
         return False
 
 
 @lru_cache(maxsize=1)
-def _sieve_cycles() -> tuple[tuple[int, np.ndarray], ...]:
+def _sieve_cycles() -> tuple[tuple[int, memoryview], ...]:
     """(period, x^e mod g for e < period) per sieve irreducible g.
 
     The g are the irreducibles of degree 1 .. 12 except x, in ascending
     order. Each table is one walk x^e -> x^(e+1) mod g (a shift and a
     conditional XOR) until it returns to 1, so its length is the order of
-    x mod g. Independent of lam, so built once per process and shared
-    read-only.
+    x mod g. Independent of lam, so built once per process and shared as
+    read-only views of 16-bit arrays (about 1.2 M entries in all).
     """
     out = []
     for g in range(3, 1 << (_SmallFactorSieve.MAX_DEGREE + 1), 2):
@@ -504,9 +497,7 @@ def _sieve_cycles() -> tuple[tuple[int, np.ndarray], ...]:
             r <<= 1
             if r >> d:
                 r ^= g
-        cyc = np.array(walk, dtype=np.uint16)
-        cyc.flags.writeable = False
-        out.append((len(walk), cyc))
+        out.append((len(walk), memoryview(array("H", walk)).toreadonly()))
     return tuple(out)
 
 

@@ -36,6 +36,8 @@ class Mode(enum.Enum):
     @classmethod
     def parse(cls, mode: "Mode | str") -> "Mode":
         """The mode itself, or the mode whose string value is given."""
+        if isinstance(mode, cls):  # every construction parses: keep it cheap
+            return mode
         try:
             return cls(mode)
         except ValueError:
@@ -49,7 +51,8 @@ class ExpansionParams:
     Classical mode pads an n-bit message, so out_len = n. Quantum mode
     produces a 2n-bit Pauli key string for n qubits, so out_len = 2n. In
     both modes tail_len = out_len - ell is the part of the pad beyond the
-    copied key, and the field has degree lam = max(ell, tail_len).
+    copied key, and the field has degree lam = max(ell, tail_len). mode
+    accepts the enum or its string value and is stored as the enum.
     """
 
     n: int
@@ -57,6 +60,7 @@ class ExpansionParams:
     mode: Mode
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", Mode.parse(self.mode))
         if self.n < 1:
             raise ParameterError("n must be >= 1")
         if not 1 <= self.ell <= self.out_len:

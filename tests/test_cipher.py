@@ -11,12 +11,14 @@ from entroseal.cipher import (
     SchemeParams,
     decrypt,
     derive_key_length,
+    deserialize,
     encrypt,
     encrypt_with,
     gen,
     indistinguishability_key_length,
     quantum_keytag,
     quantum_keytag_with,
+    serialize,
 )
 from entroseal.errors import LengthError, ParameterError, PreconditionError
 from entroseal.gf2 import BitPoly
@@ -141,6 +143,16 @@ class TestSchemeParams:
         with pytest.raises(ParameterError, match="finite"):
             SchemeParams(n=128, t=math.nan, epsilon=2.0 ** -32,
                          mode=Mode.CLASSICAL)
+
+    def test_constructor_parses_a_string_mode(self):
+        p = SchemeParams(16, 8, 2.0 ** -5, "classical")
+        assert p == SchemeParams(16, 8, 2.0 ** -5, Mode.CLASSICAL)
+        assert p == SchemeParams.derive(16, 8, 2.0 ** -5, "classical")
+        assert p.mode is Mode.CLASSICAL
+        assert p.ell == 13
+        assert (p.expansion.out_len, p.expansion.lam) == (16, 13)
+        with pytest.raises(ParameterError, match="unknown mode"):
+            SchemeParams(16, 8, 2.0 ** -5, "bogus")
 
 
 def test_gen_draws_ell_bits():
@@ -280,3 +292,12 @@ class TestCiphertextValidation:
         c = Ciphertext(n=16, ell=9, mode=Mode.CLASSICAL, u=BitPoly(0, 9),
                        v=BitPoly(0, 7), payload=BitPoly(0, 16))
         assert c.expansion == ExpansionParams.classical(16, 9)
+
+    def test_string_mode_is_parsed_at_construction(self):
+        fields = dict(n=16, ell=9, u=BitPoly(0, 9), v=BitPoly(0, 7),
+                      payload=BitPoly(0, 16))
+        c = Ciphertext(mode="classical", **fields)
+        assert c == Ciphertext(mode=Mode.CLASSICAL, **fields)
+        assert deserialize(serialize(c)) == c
+        with pytest.raises(ParameterError, match="unknown mode"):
+            Ciphertext(mode="bogus", **fields)

@@ -2,10 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import entroseal
+from entroseal import cli
 from entroseal.cli import _parse_epsilon, main
+from entroseal.errors import (ConfigurationError, DominationError,
+                              EntropyError, EntrosealError)
 
 KEY_BYTES = bytes(range(1, 255)) * 2  # 508 bytes = 4064 bits of key material
 
@@ -163,6 +169,53 @@ class TestEncryptDecrypt:
             "--out", str(tmp_path / "o.bin")])
         assert rc == 5
         assert "error:" in err
+
+
+    def test_encrypt_and_decrypt_never_import_numpy(self, tmp_path):
+        # A fresh interpreter: the README size (a table modulus) and an
+        # off-table size whose modulus is scanned (64 B at t=256: lam=331).
+        script = """
+import sys
+from pathlib import Path
+from entroseal.cli import main
+d = Path(sys.argv[1])
+(d / "key.bin").write_bytes(bytes(range(1, 255)) * 2)
+for size, t, lam in ((512, "2048", 2123), (64, "256", 331)):
+    plain = bytes((7 * i + 3) % 256 for i in range(size))
+    (d / "plain.bin").write_bytes(plain)
+    key = str(d / "key.bin")
+    assert main(["encrypt", str(d / "plain.bin"), "--key", key, "--t", t,
+                 "--epsilon", "2^-40", "--out", str(d / "c.ese")]) == 0
+    assert main(["decrypt", str(d / "c.ese"), "--key", key,
+                 "--out", str(d / "back.bin")]) == 0
+    assert (d / "back.bin").read_bytes() == plain
+sys.exit("numpy" in sys.modules)
+"""
+        src = os.path.dirname(os.path.dirname(entroseal.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "lambda=2123" in proc.stderr
+        assert "lambda=331" in proc.stderr
+
+
+class TestErrorExitCodes:
+    @pytest.mark.parametrize("exc,code", [
+        (ConfigurationError, 2), (DominationError, 2), (EntropyError, 5),
+        (EntrosealError, 6)])
+    def test_every_library_error_has_an_exit_code(self, capsys, monkeypatch,
+                                                  exc, code):
+        def fail(args):
+            raise exc("raised for the test")
+        monkeypatch.setattr(cli, "cmd_params", fail)
+        rc, _, err = run(capsys, [
+            "params", "--n-bits", "16", "--t", "8", "--epsilon", "0.25"])
+        assert rc == code
+        assert err.startswith("error:")
+        assert "raised for the test" in err
+        assert "Traceback" not in err
 
 
 class TestVerify:

@@ -491,6 +491,26 @@ def test_small_factor_sieve_matches_trial_division():
         assert seen == {True, False}
 
 
+@pytest.mark.parametrize("width", [*range(1, 18), 31, 32, 33, 255, 256,
+                                   257, 4171, 32768])
+def test_square_matches_shift_and_xor(width):
+    # the nibble tables spread each byte into two; check every byte
+    # boundary and both nibbles against the plain product v * v
+    rng = random.Random(width)
+    values = [0, 1, (1 << width) - 1, 1 << (width - 1)]
+    values += [rng.getrandbits(width) for _ in range(20)]
+    for v in values:
+        assert gf2._square_int(v) == gf2._mul_int(v, v), (width, hex(v))
+
+
+def test_sieve_tables_are_read_only():
+    period, cyc = gf2._sieve_cycles()[0]
+    assert (period, list(cyc)) == (1, [1])  # x + 1: x = 1 mod x + 1
+    with pytest.raises(TypeError):
+        cyc[0] = 0
+    assert gf2._sieve_cycles()[0][1][0] == 1
+
+
 def test_no_trinomials_at_degrees_divisible_by_eight():
     # Swan's theorem; the scan relies on it to skip the trinomial pass
     for lam in (8, 16, 64):

@@ -58,6 +58,17 @@ class TestExpansionParams:
         assert q == ExpansionParams.quantum(8, 3)
         assert (q.lam, q.out_len, q.tail_len) == (13, 16, 13)
 
+    def test_string_mode_is_parsed_at_construction(self):
+        p = ExpansionParams(16, 8, "classical")
+        assert p == ExpansionParams(16, 8, Mode.CLASSICAL)
+        assert p.mode is Mode.CLASSICAL
+        assert (p.lam, p.out_len, p.tail_len) == (8, 16, 8)
+        q = ExpansionParams(16, 8, "quantum")
+        assert q == ExpansionParams.quantum(16, 8)
+        assert (q.lam, q.out_len, q.tail_len) == (24, 32, 24)
+        with pytest.raises(ParameterError, match="unknown mode"):
+            ExpansionParams(16, 8, "bogus")
+
     def test_rejects_out_of_range_ell(self):
         with pytest.raises(ParameterError):
             ExpansionParams.classical(8, 0)
