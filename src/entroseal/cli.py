@@ -52,6 +52,9 @@ def _parse_epsilon(text: str) -> float:
             except ValueError as exc:
                 raise argparse.ArgumentTypeError(
                     f"bad exponent in {text!r}") from exc
+            except OverflowError as exc:
+                raise argparse.ArgumentTypeError(
+                    f"exponent too large in {text!r}") from exc
     try:
         value = float(s)
     except ValueError as exc:
@@ -209,7 +212,7 @@ class SuiteCheck:
 
 
 def _gf2_suite(seed: int) -> list[SuiteCheck]:
-    from . import gf2ref
+    from . import gf2, gf2ref
     out = []
     rng = random.Random(seed)
 
@@ -280,6 +283,23 @@ def _gf2_suite(seed: int) -> list[SuiteCheck]:
         ok &= got == gf2ref.smallest_irreducible_lowweight_exhaustive(lam)
         ok &= is_irreducible(BitPoly(got, lam + 1))
     out.append(SuiteCheck("modulus-scan-vs-oracle", "lam in 1..16", ok))
+
+    # The scan's distinct-degree pre-filter must reject a planted factor
+    # of degree 13 .. D above the sieve's reach, which division confirms.
+    ok = True
+    top = gf2._PREFILTER_DEGREE
+    for lam in (61, 130, 411):
+        for d in (13, 24, top):
+            g = find_irreducible(d).modulus.value
+            cofactors = (find_irreducible(lam - d).modulus.value,
+                         (1 << (lam - d)) | rng.getrandbits(lam - d) | 1)
+            for h in cofactors:
+                f = clmul(BitPoly(g, d + 1), BitPoly(h, lam - d + 1)).value
+                ok &= gf2._has_factor_up_to_prefilter_degree(f, lam)
+                ok &= gf2ref.polydivmod(f, g)[1] == 0
+    out.append(SuiteCheck(
+        "early-abort-vs-division",
+        f"lam in {{61,130,411}} x deg g in {{13,24,{top}}} x2", ok))
     return out
 
 

@@ -12,11 +12,14 @@ counting rules are mirrored bit-serially in :mod:`entroseal.gf2ref` and
 the two are tested against each other.
 
 :func:`find_irreducible` picks each field's modulus on one path: a table
-of precomputed moduli or else a scan (small-factor sieve, then Rabin's
-test), cached per degree by ``lru_cache``, with every modulus turned into
-a :class:`FieldSpec` by one constructor. Only the standard library is
-used: Rabin's squarings spread bytes through ``bytes.translate`` tables
-and the sieve's tables are 16-bit ``array`` views.
+of precomputed moduli or else a scan, cached per degree by ``lru_cache``,
+with every modulus turned into a :class:`FieldSpec` by one constructor.
+The scan tests each candidate with a small-factor sieve, then (from
+degree 512) a distinct-degree pre-filter, then Rabin's test; the first
+two only skip reducible candidates early, so the modulus is Rabin's
+verdict alone. Only the standard library is used: the Frobenius walk
+squares by spreading bytes through ``bytes.translate`` tables into one
+reused buffer, and the sieve's tables are 16-bit ``array`` views.
 """
 
 from __future__ import annotations
@@ -368,8 +371,15 @@ def _fold_reduce_int(val: int, width: int, lam: int,
 
 
 def _polygcd_int(a: int, b: int) -> int:
+    """Greatest common divisor of two coefficient masks (Euclid, with each
+    remainder taken inline by long division)."""
     while b:
-        a, b = b, _polymod_int(a, b)
+        db = b.bit_length()
+        da = a.bit_length()
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b = b, a
     return a
 
 
@@ -408,31 +418,61 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _fold_exponents(f: int, lam: int) -> tuple[int, ...] | None:
+    """Non-leading exponents of f (degree lam) when it is sparse enough to
+    reduce by folding through them, else None (reduce by long division)."""
+    rest = _exponents_desc(f ^ (1 << lam))
+    return rest if 0 < len(rest) <= 16 else None
+
+
+def _frobenius(b: int, steps: int, f: int, lam: int,
+               rest: tuple[int, ...] | None) -> int:
+    """b^(2^steps) mod f, for b of degree below lam = deg f.
+
+    For a sparse f (``rest`` from :func:`_fold_exponents`) one loop squares
+    into a reused buffer, each byte spread by the two nibble tables, and
+    folds the high half back through the non-leading terms inline; this is
+    what makes degree-30000 tests practical. A dense f (``rest`` None)
+    reduces each square by long division.
+    """
+    if rest is None:
+        for _ in range(steps):
+            b = _polymod_int(_square_int(b), f)
+        return b
+    nbytes = (lam + 7) // 8
+    out = bytearray(2 * nbytes)
+    low, high = _SPREAD_LOW, _SPREAD_HIGH
+    mask = (1 << lam) - 1
+    for _ in range(steps):
+        raw = b.to_bytes(nbytes, "little")
+        out[0::2] = raw.translate(low)
+        out[1::2] = raw.translate(high)
+        b = int.from_bytes(out, "little")
+        hi = b >> lam
+        while hi:
+            b &= mask
+            for e in rest:
+                b ^= hi << e
+            hi = b >> lam
+    return b
+
+
 def _is_irreducible_frobenius(f: int, lam: int) -> bool:
     """Rabin's test: x^(2^lam) = x mod f and gcd(x^(2^(lam/p)) - x, f) = 1.
 
-    Repeated-squaring walk of the Frobenius map with gcd checkpoints at
+    Walks the Frobenius map by repeated squaring, with a gcd checkpoint at
     each maximal proper divisor lam/p. A non-squarefree f fails the final
     equality or a checkpoint, so no separate squarefree pass is needed.
-    For sparse f the squarings are reduced by folding through the
-    non-leading terms, which is what makes degree-30000 tests practical.
     """
-    rest = _exponents_desc(f ^ (1 << lam))
-    if 0 < len(rest) <= 16 and rest[0] < lam:
-        def red(v: int) -> int:
-            return _fold_reduce_int(v, v.bit_length(), lam, rest)
-    else:
-        def red(v: int) -> int:
-            return _polymod_int(v, f)
-    checkpoints = {lam // p for p in _prime_factors(lam)}
-    x = red(2)  # the polynomial x, reduced (x + 1 at lam = 1)
-    b = x
-    for i in range(1, lam + 1):
-        b = red(_square_int(b))
-        if i in checkpoints and i < lam:
-            if _polygcd_int(b ^ x, f) != 1:
-                return False
-    return b == x
+    rest = _fold_exponents(f, lam)
+    x = _polymod_int(2, f)  # the polynomial x, reduced (x + 1 at lam = 1)
+    b, done = x, 0
+    for k in sorted({lam // p for p in _prime_factors(lam)}):
+        b = _frobenius(b, k - done, f, lam, rest)
+        done = k
+        if _polygcd_int(b ^ x, f) != 1:
+            return False
+    return _frobenius(b, lam - done, f, lam, rest) == x
 
 
 def is_irreducible(p: BitPoly) -> bool:
@@ -455,18 +495,20 @@ class _SmallFactorSieve:
     For each small irreducible g, the powers x^e mod g cycle with period
     ord(x) dividing 2^deg(g) - 1. The residue of a sparse candidate
     x^lam + x^a + ... + 1 mod g is then a few table lookups and XORs; a
-    zero residue means g divides the candidate.
+    zero residue means g divides the candidate. Every candidate is odd, so
+    each table's per-lam base holds x^lam + 1 mod g.
     """
 
     MAX_DEGREE = 12
 
     def __init__(self, lam: int):
-        self.lam = lam
-        self._tables = [(period, cyc, cyc[lam % period])
+        self._ends = (1 << lam) | 1
+        self._tables = [(period, cyc, cyc[lam % period] ^ 1)
                         for period, cyc in _sieve_cycles()]
 
     def has_small_factor(self, f: int) -> bool:
-        exps = _exponents_desc(f ^ (1 << self.lam))
+        """Whether an irreducible of degree <= 12 divides f (odd, degree lam)."""
+        exps = _exponents_desc(f ^ self._ends)
         for period, cyc, base in self._tables:
             r = base
             for e in exps:
@@ -524,7 +566,9 @@ def find_irreducible(lam: int) -> FieldSpec:
     x^lam + x^a + x^b + x^c + 1 over ascending (a, b, c), then arbitrary
     odd masks, returning the first irreducible found. The constant term is
     always 1 (a polynomial divisible by x is never irreducible for
-    lam >= 2), which for lam = 1 pins the choice to x + 1.
+    lam >= 2), which for lam = 1 pins the choice to x + 1. How the scan
+    rejects candidates cheaply without changing its answer is described
+    in :func:`_scan_for_irreducible`.
 
     Results are cached per degree (two threads may both compute a miss;
     the cache stays consistent); a handful of large degrees are served
@@ -539,12 +583,59 @@ def find_irreducible(lam: int) -> FieldSpec:
     return FieldSpec._of_irreducible(BitPoly(modulus, lam + 1))
 
 
+# The scan's distinct-degree pre-filter looks for factors of degree up to
+# D = 48 and runs from degree 512 up. Both come from measured scans: D = 48
+# was fastest at lam = 603 and 4171 and within noise of the best at 1083,
+# and below lam of about 500 its 23 modular multiplies cost more than the
+# Rabin walks it saves (at lam = 171 it doubled the scan time).
+_PREFILTER_DEGREE = 48
+_PREFILTER_FROM_LAM = 512
+
+
+def _has_factor_up_to_prefilter_degree(f: int, lam: int) -> bool:
+    """Whether f, of degree lam > D, has an irreducible factor of degree at
+    most D (D = ``_PREFILTER_DEGREE``); False does not mean irreducible.
+
+    An irreducible of degree e divides x^(2^k) - x for every multiple k of
+    e, and every e <= D has a multiple in (D/2, D]. So this walks
+    b_k = x^(2^k) mod f up to k = D and multiplies b_k - x for D/2 < k <= D
+    into one product mod f, then takes one gcd with f: any factor of
+    degree at most D divides it, and each irreducible factor of the gcd
+    has degree dividing some k <= D < lam.
+    """
+    rest = _fold_exponents(f, lam)
+    first = _PREFILTER_DEGREE // 2 + 1
+    b = _frobenius(2, first, f, lam, rest)
+    prod = b ^ 2
+    for _ in range(first + 1, _PREFILTER_DEGREE + 1):
+        b = _frobenius(b, 1, f, lam, rest)
+        prod = _comb_int(prod, b ^ 2)
+        prod = (_polymod_int(prod, f) if rest is None
+                else _fold_reduce_int(prod, 2 * lam - 1, lam, rest))
+    return _polygcd_int(f, prod) != 1
+
+
 def _scan_for_irreducible(lam: int) -> int:
-    """First irreducible of degree lam in find_irreducible's scan order."""
+    """First irreducible of degree lam in find_irreducible's scan order.
+
+    Each candidate meets three tests, cheapest first, and the first one
+    to pass Rabin's test is returned. The earlier two only ever reject
+    reducible candidates, so they change the running time, never the
+    answer:
+
+    1. the small-factor sieve (no factor of degree <= 12);
+    2. from degree 512 up, the distinct-degree pre-filter (no factor of
+       degree <= D = 48);
+    3. Rabin's test, the only judge of irreducibility.
+
+    Trinomials stop at m = lam/2: x^lam + x^m + 1 is irreducible exactly
+    when its reciprocal x^lam + x^(lam-m) + 1 is, and that one came first.
+    """
     base = (1 << lam) | 1
     # Swan's theorem rules out irreducible trinomials of degree divisible
     # by 8, so that pass is provably empty when 8 | lam.
-    trinomials = (base | (1 << m) for m in range(1, lam)) if lam % 8 else ()
+    trinomials = ((base | (1 << m) for m in range(1, lam // 2 + 1))
+                  if lam % 8 else ())
     pentanomials = (base | (1 << a) | (1 << b) | (1 << c)
                     for a in range(3, lam)
                     for b in range(2, a)
@@ -552,11 +643,15 @@ def _scan_for_irreducible(lam: int) -> int:
     # No tri- or pentanomial (possible in principle); fall back to any mask.
     masks = range(base, 1 << (lam + 1), 2)
     # At lam <= 12 the sieve's tables would contain the candidate itself,
-    # so the same scan runs with Rabin's test alone.
+    # so the same scan runs without it. The pre-filter would reject an
+    # irreducible candidate at lam <= D; it starts far above that.
     sieve = (_SmallFactorSieve(lam)
              if lam > _SmallFactorSieve.MAX_DEGREE else None)
+    prefilter = lam >= _PREFILTER_FROM_LAM
     for f in itertools.chain(trinomials, pentanomials, masks):
         if sieve is not None and sieve.has_small_factor(f):
+            continue
+        if prefilter and _has_factor_up_to_prefilter_degree(f, lam):
             continue
         if _is_irreducible_frobenius(f, lam):
             return f

@@ -260,9 +260,10 @@ class TestVerifyGf2:
     def test_gf2_suite_passes(self, capsys):
         rc, out, err = run(capsys, ["verify", "gf2"])
         assert rc == 0
-        assert "5/5 checks passed" in err
+        assert "6/6 checks passed" in err
         names = [line.split()[1] for line in out.splitlines()]
         assert "modulus-scan-vs-oracle" in names
+        assert "early-abort-vs-division" in names
 
 
 class TestBench:
@@ -336,3 +337,16 @@ class TestBench:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert f"argument {flag}" in err
+
+    @pytest.mark.parametrize("value", ["2^100000", "2**100000"])
+    def test_overflowing_epsilon_is_a_usage_error(self, capsys, value):
+        # 2.0 ** 100000 raises OverflowError, which used to escape as a
+        # traceback with exit 1
+        with pytest.raises(SystemExit) as exc:
+            main(["params", "--n-bits", "64", "--t", "32",
+                  "--epsilon", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "argument --epsilon" in err
+        assert "Traceback" not in err

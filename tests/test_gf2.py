@@ -435,8 +435,9 @@ def test_find_irreducible_standard_large_degrees():
 
 def test_rabin_agrees_with_trial_division_from_degree_one():
     # Rabin's test compares with x reduced mod f: at degree 1 that is
-    # x + 1 -> 1, and comparing with x unreduced rejected x + 1
-    for f in range(3, 1 << 9, 2):
+    # x + 1 -> 1, and comparing with x unreduced rejected x + 1. Every
+    # odd mask up to degree 14 runs the fused square-and-fold walk.
+    for f in range(3, 1 << 15, 2):
         want = irreducible_by_trial_division(f)
         assert gf2._is_irreducible_frobenius(f, f.bit_length() - 1) == want
     assert gf2._scan_for_irreducible(1) == 0b11
@@ -489,6 +490,66 @@ def test_small_factor_sieve_matches_trial_division():
             assert sieve.has_small_factor(f) == want, (lam, hex(f))
             seen.add(want)
         assert seen == {True, False}
+
+
+def test_rabin_dense_fallback_agrees_with_trial_division():
+    # more than 16 non-leading terms: each square is reduced by division
+    rng = random.Random(0xDE45E)
+    seen = set()
+    for _ in range(60):
+        d = rng.choice((20, 21, 22))
+        f = (1 << (d + 1)) - 1
+        for e in rng.sample(range(1, d), rng.randint(0, 3)):
+            f ^= 1 << e
+        assert gf2._fold_exponents(f, d) is None
+        want = irreducible_by_trial_division(f)
+        assert gf2._is_irreducible_frobenius(f, d) == want, hex(f)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("lam", [61, 130, 411])
+def test_prefilter_rejects_a_planted_factor(lam):
+    # a factor of degree 13 .. D, with an irreducible and a random cofactor;
+    # 13 and 24 lie at or below D/2, so only their multiples catch them
+    rng = random.Random(lam)
+    for d in (13, 24, gf2._PREFILTER_DEGREE):
+        g = find_irreducible(d).modulus.value
+        for h in (find_irreducible(lam - d).modulus.value,
+                  (1 << (lam - d)) | rng.getrandbits(lam - d) | 1):
+            f = gf2._mul_int(g, h)
+            assert gf2._has_factor_up_to_prefilter_degree(f, lam), (lam, d)
+            assert polydivmod(f, g)[1] == 0
+
+
+@pytest.mark.parametrize("lam", [127, 603, 1037, 2123])
+def test_prefilter_passes_irreducible_moduli(lam):
+    # 127 and 603 are scanned, 1037 and 2123 served from the table; at
+    # lam <= D an irreducible f divides the product, so the scan must not
+    # run the pre-filter there
+    f = find_irreducible(lam).modulus.value
+    assert not gf2._has_factor_up_to_prefilter_degree(f, lam)
+    assert gf2._PREFILTER_FROM_LAM > gf2._PREFILTER_DEGREE
+
+
+def test_products_of_factors_above_d_reach_rabin_and_fail():
+    top = gf2._PREFILTER_DEGREE
+    pairs = ((top + 1, top + 1), (top + 1, top + 7), (top + 13, 2 * top))
+    for d1, d2 in pairs:
+        f = gf2._mul_int(find_irreducible(d1).modulus.value,
+                         find_irreducible(d2).modulus.value)
+        assert not gf2._has_factor_up_to_prefilter_degree(f, d1 + d2)
+        assert not gf2._is_irreducible_frobenius(f, d1 + d2)
+
+
+def test_trinomial_and_its_reciprocal_agree():
+    # the scan stops its trinomial pass at m = lam/2 on this symmetry
+    for lam in range(2, 41):
+        for m in range(1, lam):
+            f = (1 << lam) | (1 << m) | 1
+            r = (1 << lam) | (1 << (lam - m)) | 1
+            assert (gf2._is_irreducible_frobenius(f, lam)
+                    == gf2._is_irreducible_frobenius(r, lam)), (lam, m)
 
 
 @pytest.mark.parametrize("width", [*range(1, 18), 31, 32, 33, 255, 256,

@@ -55,6 +55,15 @@ MODULI = {
     4096: (27, 15, 1, 0),
 }
 
+# One SHA-256 over the non-leading exponents of the scanned modulus at
+# every lambda in 1..160 and at four larger degrees, none a table entry.
+# The scan only ever skips reducible candidates early (the sieve, the
+# distinct-degree pre-filter from degree 512 up, the trinomial cut at
+# lambda/2), so no change to it may move a modulus.
+SCANNED_LAMS = (*range(1, 161), 171, 315, 411, 603)
+SCANNED_MODULI_SHA256 = (
+    "9bcbb791075bcf531c451e986b304005ea22e63dc729d0016be3266d67b90fa4")
+
 
 def test_classical_ciphertext_golden():
     params = SchemeParams.derive(**CLASSICAL)
@@ -79,6 +88,12 @@ def test_quantum_keytag_golden():
 @pytest.mark.parametrize("lam", sorted(MODULI))
 def test_modulus_golden(lam):
     assert find_irreducible(lam).reduction_exponents == MODULI[lam]
+
+
+def test_scanned_moduli_golden():
+    exps = [find_irreducible(lam).reduction_exponents for lam in SCANNED_LAMS]
+    digest = hashlib.sha256(repr(exps).encode()).hexdigest()
+    assert digest == SCANNED_MODULI_SHA256
 
 
 @pytest.mark.parametrize("mode,method,backend", sorted(
