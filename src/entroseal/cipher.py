@@ -16,9 +16,8 @@ the clear inside the ciphertext.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
+from ._record import Record
 from .errors import (FormatError, LengthError, ParameterError,
                      PreconditionError, WireErrorCode)
 from .gf2 import BitPoly
@@ -131,27 +130,27 @@ def indistinguishability_key_length(n: int, t: float, epsilon: float) -> int:
     return ell
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(Record):
     """Validated scheme parameters; the key length and sizes are derived.
 
     mode accepts the enum or its string value and is stored as the enum.
+    ``expansion``, the sizes for (n, ell, mode) with ell from
+    :func:`derive_key_length`, is derived at construction, so bad
+    parameters fail there; it takes no part in equality, hash or repr.
     """
 
-    n: int
-    t: float
-    epsilon: float
-    mode: Mode
+    _fields = ("n", "t", "epsilon", "mode")
+    __slots__ = _fields + ("expansion",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", Mode.parse(self.mode))
-        self.expansion  # derive now, so bad parameters fail at construction
-
-    @cached_property
-    def expansion(self) -> ExpansionParams:
-        """Expansion sizes for (n, ell, mode), ell from derive_key_length."""
-        ell = derive_key_length(self.n, self.t, self.epsilon, self.mode)
-        return ExpansionParams(self.n, ell, self.mode)
+    def __init__(self, n: int, t: float, epsilon: float,
+                 mode: Mode | str) -> None:
+        mode = Mode.parse(mode)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "mode", mode)
+        ell = derive_key_length(n, t, epsilon, mode)
+        object.__setattr__(self, "expansion", ExpansionParams(n, ell, mode))
 
     @property
     def ell(self) -> int:
@@ -169,36 +168,36 @@ def _expansion_of(params) -> ExpansionParams:
     return params.expansion
 
 
-@dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(Record):
     """(u, v, payload) plus the sizes needed to reconstruct the pad rule.
 
     Classical payload is the masked message (n bits); quantum payload is
-    the 2n-bit Pauli key string for the simulator to apply.
+    the 2n-bit Pauli key string for the simulator to apply. ``expansion``
+    is derived from (n, ell, mode) once, at construction; equality, hash
+    and repr cover the six stored fields only.
     """
 
-    n: int
-    ell: int
-    mode: Mode
-    u: BitPoly
-    v: BitPoly
-    payload: BitPoly
+    _fields = ("n", "ell", "mode", "u", "v", "payload")
+    __slots__ = _fields + ("expansion",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", Mode.parse(self.mode))
-        exp = self.expansion
-        if self.u.nbits != exp.lam:
-            raise LengthError(f"u must have {exp.lam} bits, got {self.u.nbits}")
-        if self.v.nbits != exp.tail_len:
+    def __init__(self, n: int, ell: int, mode: Mode | str, u: BitPoly,
+                 v: BitPoly, payload: BitPoly) -> None:
+        exp = ExpansionParams(n, ell, mode)
+        if u.nbits != exp.lam:
+            raise LengthError(f"u must have {exp.lam} bits, got {u.nbits}")
+        if v.nbits != exp.tail_len:
             raise LengthError(
-                f"v must have {exp.tail_len} bits, got {self.v.nbits}")
-        if self.payload.nbits != exp.out_len:
+                f"v must have {exp.tail_len} bits, got {v.nbits}")
+        if payload.nbits != exp.out_len:
             raise LengthError(
-                f"payload must have {exp.out_len} bits, got {self.payload.nbits}")
-
-    @property
-    def expansion(self) -> ExpansionParams:
-        return ExpansionParams(self.n, self.ell, self.mode)
+                f"payload must have {exp.out_len} bits, got {payload.nbits}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "mode", exp.mode)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "expansion", exp)
 
 
 def gen(params, rng: RandomSource) -> BitPoly:

@@ -6,20 +6,22 @@ Exit codes: 0 success, 1 verification found a failing check,
 4 malformed ciphertext, 5 file I/O problems or a failed OS randomness
 source, 6 internal error (any other library error).
 
-Only ``verify`` loads the exact labs (and ``verify quantum`` numpy), so
-``encrypt`` and ``decrypt`` start without them.
+``encrypt`` and ``decrypt`` load only ``argparse`` and the core modules
+(``cipher``, ``keyexpand``, ``gf2``, ``rng``, ``errors``); no
+``dataclasses``, ``json`` or numpy. The other subcommands import what
+they need when they run: ``json`` for JSON output, the benchmark module
+for ``bench`` (and for ``--methods``), and the exact labs for ``verify``
+(``verify quantum`` also numpy).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
-from . import bench as benchmod
+from ._record import Record
 from .cipher import (SchemeParams, decrypt, deserialize, encrypt,
                      indistinguishability_key_length, serialize)
 from .errors import (BudgetError, ConfigurationError, DominationError,
@@ -71,6 +73,12 @@ def _list_of(parse_item):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return parse
+
+
+def _method(text: str):
+    """argparse type for one bench method; loads the benchmark module."""
+    from .bench import Method
+    return Method(text)
 
 
 def _default_budget() -> int:
@@ -126,6 +134,7 @@ def cmd_params(args: argparse.Namespace) -> int:
         out["indistinguishability_ell"] = indistinguishability_key_length(
             params.n, params.t, params.epsilon)
     if args.format == "json":
+        import json
         print(json.dumps(out, indent=2))
     else:
         for k, v in out.items():
@@ -160,6 +169,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench as benchmod
     if args.methods:
         methods = args.methods
     elif args.mode is Mode.QUANTUM:
@@ -186,6 +196,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 records.append(rec)
     text, rows = benchmod.emit_table(records)
     if args.format == "json":
+        import json
         print(json.dumps(rows, indent=2))
     else:
         print(text, end="")
@@ -196,11 +207,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # Verification suites
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteCheck:
-    name: str
-    context: str
-    passed: bool
+class SuiteCheck(Record):
+    __slots__ = _fields = ("name", "context", "passed")
+
+    def __init__(self, name: str, context: str, passed: bool) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "passed", passed)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -369,6 +382,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         reports = _quantum_suite(args.seed)
     if args.format == "json":
+        import json
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
         for r in reports:
@@ -439,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_parse_epsilon, default=2.0 ** -5)
     p.add_argument("--mode", type=Mode, default=Mode.QUANTUM,
                    choices=list(Mode), metavar="{classical,quantum}")
-    p.add_argument("--methods", type=_list_of(benchmod.Method), default="",
+    p.add_argument("--methods", type=_list_of(_method), default="",
                    help="comma-separated subset of affine,"
                         "fullmul-classical,fullmul-quantum")
     p.add_argument("--backends", type=_list_of(Backend),

@@ -27,9 +27,9 @@ from __future__ import annotations
 import enum
 import itertools
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import ConfigurationError, LengthError, PreconditionError
 
 __all__ = [
@@ -48,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BitPoly:
+class BitPoly(Record):
     """A GF(2) polynomial (equivalently a bit string) of fixed width.
 
     Parameters
@@ -60,18 +59,19 @@ class BitPoly:
         Declared width. ``value`` must fit, i.e. ``value >> nbits == 0``.
     """
 
-    value: int
-    nbits: int
+    __slots__ = _fields = ("value", "nbits")
 
-    def __post_init__(self) -> None:
-        if self.nbits < 0:
+    def __init__(self, value: int, nbits: int) -> None:
+        if nbits < 0:
             raise PreconditionError("nbits must be nonnegative")
-        if self.value < 0:
+        if value < 0:
             raise PreconditionError("value must be nonnegative")
-        if self.value >> self.nbits:
+        if value >> nbits:
             raise LengthError(
-                f"value needs {self.value.bit_length()} bits, declared {self.nbits}"
+                f"value needs {value.bit_length()} bits, declared {nbits}"
             )
+        _set_value(self, value)
+        _set_nbits(self, nbits)
 
     @property
     def degree(self) -> int:
@@ -124,12 +124,21 @@ class BitPoly:
         return f"BitPoly({self.value:#x}, nbits={self.nbits})"
 
 
-@dataclass(frozen=True)
-class OpCount:
+# Several BitPolys are built per multiply, so their slots are written
+# through the slot descriptors' own setters, the cheapest way past the
+# frozen __setattr__.
+_set_value = BitPoly.value.__set__
+_set_nbits = BitPoly.nbits.__set__
+
+
+class OpCount(Record):
     """Exact count of two-input AND and XOR gates."""
 
-    ands: int = 0
-    xors: int = 0
+    __slots__ = _fields = ("ands", "xors")
+
+    def __init__(self, ands: int = 0, xors: int = 0) -> None:
+        object.__setattr__(self, "ands", ands)
+        object.__setattr__(self, "xors", xors)
 
     def __add__(self, other: "OpCount") -> "OpCount":
         return OpCount(self.ands + other.ands, self.xors + other.xors)
@@ -235,8 +244,7 @@ def clmul(a: BitPoly, b: BitPoly) -> BitPoly:
     return BitPoly(_comb_int(a.value, b.value), a.nbits + b.nbits)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """A binary field GF(2^lam) fixed by an irreducible modulus.
 
     Attributes
@@ -250,9 +258,13 @@ class FieldSpec:
         for the moduli produced here, since x never divides them).
     """
 
-    lam: int
-    modulus: BitPoly
-    reduction_exponents: tuple[int, ...]
+    __slots__ = _fields = ("lam", "modulus", "reduction_exponents")
+
+    def __init__(self, lam: int, modulus: BitPoly,
+                 reduction_exponents: tuple[int, ...]) -> None:
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "reduction_exponents", reduction_exponents)
 
     @property
     def weight(self) -> int:
@@ -486,7 +498,12 @@ def is_irreducible(p: BitPoly) -> bool:
         return False
     if bin(p.value).count("1") % 2 == 0:  # divisible by x + 1
         return False
-    return _is_irreducible_frobenius(p.value, d)
+    # A fold clears only d - top bits a round (top the second exponent), so
+    # a top-heavy p folds each square many times. Its reciprocal
+    # x^d p(1/x), of degree d as p(0) = 1, is irreducible exactly when p is;
+    # the smaller of the two has the lower second exponent.
+    f = min(p.value, int(f"{p.value:b}"[::-1], 2))
+    return _is_irreducible_frobenius(f, d)
 
 
 class _SmallFactorSieve:

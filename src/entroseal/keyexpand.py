@@ -14,8 +14,8 @@ the affine map's factor-two advantage comes from.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import LengthError, ParameterError
 from .gf2 import BitPoly, find_irreducible, gf_mul, lsb_truncate
 from .rng import RandomSource
@@ -44,8 +44,7 @@ class Mode(enum.Enum):
             raise ParameterError(f"unknown mode {mode!r}") from None
 
 
-@dataclass(frozen=True)
-class ExpansionParams:
+class ExpansionParams(Record):
     """Sizes for one expansion instance.
 
     Classical mode pads an n-bit message, so out_len = n. Quantum mode
@@ -55,18 +54,18 @@ class ExpansionParams:
     accepts the enum or its string value and is stored as the enum.
     """
 
-    n: int
-    ell: int
-    mode: Mode
+    __slots__ = _fields = ("n", "ell", "mode")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", Mode.parse(self.mode))
-        if self.n < 1:
+    def __init__(self, n: int, ell: int, mode: Mode | str) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "mode", Mode.parse(mode))
+        if n < 1:
             raise ParameterError("n must be >= 1")
-        if not 1 <= self.ell <= self.out_len:
+        if not 1 <= ell <= self.out_len:
             raise ParameterError(
                 f"ell must be in [1, {self.out_len}] for {self.mode.value} "
-                f"mode, got {self.ell}"
+                f"mode, got {ell}"
             )
 
     @property

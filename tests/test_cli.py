@@ -174,6 +174,9 @@ class TestEncryptDecrypt:
     def test_encrypt_and_decrypt_never_import_numpy(self, tmp_path):
         # A fresh interpreter: the README size (a table modulus) and an
         # off-table size whose modulus is scanned (64 B at t=256: lam=331).
+        # Nor do they load the labs, the benchmark module or the stdlib
+        # modules only those (and dataclasses) need; the exit message
+        # names any that were loaded.
         script = """
 import sys
 from pathlib import Path
@@ -189,7 +192,11 @@ for size, t, lam in ((512, "2048", 2123), (64, "256", 331)):
     assert main(["decrypt", str(d / "c.ese"), "--key", key,
                  "--out", str(d / "back.bin")]) == 0
     assert (d / "back.bin").read_bytes() == plain
-sys.exit("numpy" in sys.modules)
+unused = ("numpy", "dataclasses", "inspect", "statistics", "json",
+          "entroseal.bench", "entroseal.statlab", "entroseal.qlab",
+          "entroseal.gf2ref")
+loaded = [m for m in unused if m in sys.modules]
+sys.exit(f"loaded {loaded}" if loaded else 0)
 """
         src = os.path.dirname(os.path.dirname(entroseal.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -337,6 +344,24 @@ class TestBench:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert f"argument {flag}" in err
+
+    def test_methods_resolve_when_parsed(self):
+        # --methods names the benchmark module's Method, which the parser
+        # looks up only when the flag is given: run where it is not loaded
+        src = os.path.dirname(os.path.dirname(entroseal.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "entroseal", "bench", "--sizes", "16",
+                "--backends", "schoolbook", "--format", "json", "--methods"]
+        ok = subprocess.run(argv + ["affine"], env=env, capture_output=True,
+                            text=True, timeout=120)
+        assert ok.returncode == 0, ok.stderr
+        assert [r["method"] for r in json.loads(ok.stdout)] == ["affine"]
+        bad = subprocess.run(argv + ["bogus"], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert bad.returncode == 2
+        assert "usage:" in bad.stderr
+        assert "argument --methods" in bad.stderr
+        assert "Traceback" not in bad.stderr
 
     @pytest.mark.parametrize("value", ["2^100000", "2**100000"])
     def test_overflowing_epsilon_is_a_usage_error(self, capsys, value):

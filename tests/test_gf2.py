@@ -552,6 +552,41 @@ def test_trinomial_and_its_reciprocal_agree():
                     == gf2._is_irreducible_frobenius(r, lam)), (lam, m)
 
 
+def _reciprocal(f):
+    return int(f"{f:b}"[::-1], 2)
+
+
+def test_is_irreducible_via_the_reciprocal_agrees_with_trial_division():
+    # is_irreducible tests the reciprocal when it is the smaller mask, the
+    # one with the lower second exponent
+    tested = 0
+    for f in range(5, 1 << 13, 2):
+        if _reciprocal(f) < f:
+            d = f.bit_length() - 1
+            assert is_irreducible(BitPoly(f, d + 1)) == \
+                irreducible_by_trial_division(f), hex(f)
+            tested += 1
+    assert tested > 1000
+
+
+def test_top_heavy_trinomial_is_tested_through_its_reciprocal(monkeypatch):
+    # x^1279 + x^1278 + 1 folds each square in about 1279 rounds; its
+    # reciprocal x^1279 + x + 1 in one
+    seen = []
+    walk = gf2._is_irreducible_frobenius
+
+    def record(f, lam):
+        seen.append(f)
+        return walk(f, lam)
+    monkeypatch.setattr(gf2, "_is_irreducible_frobenius", record)
+    heavy = (1 << 1279) | (1 << 1278) | 1
+    light = (1 << 1279) | (1 << 1) | 1
+    assert _reciprocal(heavy) == light
+    assert is_irreducible(BitPoly(heavy, 1280)) == \
+        is_irreducible(BitPoly(light, 1280))
+    assert seen == [light, light]
+
+
 @pytest.mark.parametrize("width", [*range(1, 18), 31, 32, 33, 255, 256,
                                    257, 4171, 32768])
 def test_square_matches_shift_and_xor(width):
