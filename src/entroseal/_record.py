@@ -7,6 +7,9 @@ the CLI's start-up. Subclasses declare ``_fields`` (the stored fields, in
 order) and ``__slots__`` (those plus any derived slots), and set their
 slots in a hand-written ``__init__`` past the frozen ``__setattr__``, with
 ``object.__setattr__`` or a slot descriptor's own ``__set__``.
+
+:class:`Check` is the one result type of every ``verify`` check, here
+because ``cli`` already loads this module.
 """
 
 from __future__ import annotations
@@ -48,3 +51,46 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def _plain(x):
+    """A JSON value for x: exact rationals become ``"p/q"`` strings."""
+    if x is None or isinstance(x, (bool, int, float, str)):
+        return x
+    return str(x)
+
+
+class Check(Record):
+    """One ``verify`` result: a named, passed-or-failed check.
+
+    ``context`` holds the instance as ``(key, value)`` pairs (a mapping is
+    accepted and stored as its pairs, so the record hashes). A check that
+    compares two numbers carries them as ``value`` and ``bound``, exact
+    ``Fraction`` or float, which ``line()`` shows and ``to_dict()`` emits
+    as ``"p/q"`` strings or numbers; the verdict is the check's own.
+    """
+
+    __slots__ = _fields = ("name", "context", "passed", "value", "bound")
+
+    def __init__(self, name: str, context, passed: bool, value=None,
+                 bound=None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "context", tuple(dict(context).items()))
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "bound", bound)
+
+    def line(self) -> str:
+        words = ["PASS" if self.passed else "FAIL", self.name]
+        words += [f"{k}={v}" for k, v in self.context]
+        text = " ".join(words)
+        if self.value is None:
+            return text
+        return (f"{text}: value={float(self.value):.6e} "
+                f"<= bound={float(self.bound):.6e}")
+
+    def to_dict(self) -> dict:
+        return {"check": self.name,
+                **{k: _plain(v) for k, v in self.context},
+                "value": _plain(self.value), "bound": _plain(self.bound),
+                "passed": self.passed}

@@ -11,10 +11,10 @@ library's single evaluation kernel.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import statistics
 import time
-from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .gf2 import Backend, OpCount, clmul_cost, find_irreducible, reduce_cost
@@ -24,7 +24,9 @@ from .rng import RandomSource
 __all__ = [
     "Method",
     "BenchRecord",
+    "baseline",
     "count_expansion",
+    "count_record",
     "time_expansion",
     "emit_table",
 ]
@@ -47,9 +49,9 @@ _BASELINE_MODE = {
 }
 
 
-def _mul_width(method: Method, params: ExpansionParams) -> int:
-    """Field width the method multiplies in; shown as lam in reports."""
-    return params.lam if method is Method.AFFINE else params.out_len
+def baseline(mode: Mode) -> Method:
+    """The full-multiplication method that applies to mode."""
+    return next(m for m, applies in _BASELINE_MODE.items() if applies is mode)
 
 
 def count_expansion(method: Method, params: ExpansionParams,
@@ -78,7 +80,7 @@ def count_expansion(method: Method, params: ExpansionParams,
     return clmul_cost(width, width, backend) + reduce_cost(2 * width, spec)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class BenchRecord:
     """One (method, backend, sizes) measurement.
 
@@ -117,6 +119,16 @@ class BenchRecord:
         }
 
 
+def count_record(method: Method, params: ExpansionParams,
+                 backend: Backend) -> BenchRecord:
+    """Counting-only record; lam is the field width the method multiplies in."""
+    width = params.lam if method is Method.AFFINE else params.out_len
+    return BenchRecord(
+        method=method, backend=backend, mode=params.mode, n=params.n,
+        ell=params.ell, lam=width,
+        cost=count_expansion(method, params, backend))
+
+
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as fh:
@@ -143,14 +155,15 @@ def time_expansion(method: Method, params: ExpansionParams, backend: Backend,
                    reps: int = 31, rng: RandomSource | None = None) -> BenchRecord:
     """Median wall time over reps runs, warmup excluded, fresh inputs per rep.
 
-    Input generation happens outside the timed region. The backend picks
-    the cost model of the record only. The record carries the CPU model
-    string; warn_timer is set when the median is within two orders of
-    magnitude of the clock resolution and should be mistrusted.
+    Input generation happens outside the timed region. The record is
+    count_record's with the timings added, so the backend picks its cost
+    model only. It carries the CPU model string; warn_timer is set when
+    the median is within two orders of magnitude of the clock resolution
+    and should be mistrusted.
     """
     if reps < 31:
         raise PreconditionError(f"need reps >= 31 for stable medians, got {reps}")
-    cost = count_expansion(method, params, backend)
+    counted = count_record(method, params, backend)
     if rng is None:
         rng = RandomSource(0)
     runners = [_make_runner(method, params, rng)
@@ -166,10 +179,8 @@ def time_expansion(method: Method, params: ExpansionParams, backend: Backend,
     quartiles = statistics.quantiles(times, n=4)
     iqr = float(quartiles[2] - quartiles[0])
     resolution_ns = time.get_clock_info("perf_counter").resolution * 1e9
-    return BenchRecord(
-        method=method, backend=backend, mode=params.mode, n=params.n,
-        ell=params.ell, lam=_mul_width(method, params), cost=cost,
-        wall_ns_median=median, wall_ns_iqr=iqr, reps=reps,
+    return dataclasses.replace(
+        counted, wall_ns_median=median, wall_ns_iqr=iqr, reps=reps,
         env=_cpu_model(), warn_timer=median < 100.0 * resolution_ns)
 
 

@@ -11,7 +11,14 @@ source, 6 internal error (any other library error).
 ``dataclasses``, ``json`` or numpy. The other subcommands import what
 they need when they run: ``json`` for JSON output, the benchmark module
 for ``bench`` (and for ``--methods``), and the exact labs for ``verify``
-(``verify quantum`` also numpy).
+(``verify quantum`` also numpy). Only ``verify classical`` reads the
+enumeration budget (``--budget`` or ``ENTROSEAL_BUDGET``).
+
+Every ``verify`` suite yields :class:`~entroseal._record.Check` records:
+one ``PASS|FAIL name k=v ...`` line each, ending in
+``: value=... <= bound=...`` when the check compares two numbers, or with
+``--format json`` one object each, ``{"check", <context>, "value",
+"bound", "passed"}``.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import os
 import random
 import sys
 
-from ._record import Record
+from ._record import Check
 from .cipher import (SchemeParams, decrypt, deserialize, encrypt,
                      indistinguishability_key_length, serialize)
 from .errors import (BudgetError, ConfigurationError, DominationError,
@@ -170,30 +177,20 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench as benchmod
-    if args.methods:
-        methods = args.methods
-    elif args.mode is Mode.QUANTUM:
-        methods = [benchmod.Method.AFFINE, benchmod.Method.FULLMUL_QUANTUM]
-    else:
-        methods = [benchmod.Method.AFFINE, benchmod.Method.FULLMUL_CLASSICAL]
+    methods = args.methods or [benchmod.Method.AFFINE,
+                               benchmod.baseline(args.mode)]
     records = []
     for n in args.sizes:
         params = SchemeParams.derive(n, args.t, args.epsilon, args.mode)
         for backend in args.backends:
             for method in methods:
                 if args.reps:
-                    rec = benchmod.time_expansion(
+                    records.append(benchmod.time_expansion(
                         method, params.expansion, backend, reps=args.reps,
-                        rng=RandomSource(args.seed))
+                        rng=RandomSource(args.seed)))
                 else:
-                    cost = benchmod.count_expansion(
-                        method, params.expansion, backend)
-                    rec = benchmod.BenchRecord(
-                        method=method, backend=backend, mode=args.mode,
-                        n=n, ell=params.ell,
-                        lam=benchmod._mul_width(method, params.expansion),
-                        cost=cost)
-                records.append(rec)
+                    records.append(benchmod.count_record(
+                        method, params.expansion, backend))
     text, rows = benchmod.emit_table(records)
     if args.format == "json":
         import json
@@ -207,24 +204,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # Verification suites
 # ---------------------------------------------------------------------------
 
-class SuiteCheck(Record):
-    __slots__ = _fields = ("name", "context", "passed")
-
-    def __init__(self, name: str, context: str, passed: bool) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "passed", passed)
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.name} {self.context}".rstrip()
-
-    def to_dict(self) -> dict:
-        return {"check": self.name, "context": self.context,
-                "passed": self.passed}
-
-
-def _gf2_suite(seed: int) -> list[SuiteCheck]:
+def _gf2_suite(seed: int) -> list[Check]:
     from . import gf2, gf2ref
     out = []
     rng = random.Random(seed)
@@ -247,7 +227,7 @@ def _gf2_suite(seed: int) -> list[SuiteCheck]:
                     dist = gf_mul(pa, pb ^ pc, spec).value
                     ok &= dist == (gf_mul(pa, pb, spec).value
                                    ^ gf_mul(pa, pc, spec).value)
-    out.append(SuiteCheck("field-axioms-exhaustive", "lam in {2,3,4}", ok))
+    out.append(Check("field-axioms-exhaustive", {"lam": "2,3,4"}, ok))
 
     ok = True
     for lam in (5, 8):
@@ -257,7 +237,7 @@ def _gf2_suite(seed: int) -> list[SuiteCheck]:
             if not any(gf_mul(pa, BitPoly(b, lam), spec).value == 1
                        for b in range(1, 1 << lam)):
                 ok = False
-    out.append(SuiteCheck("inverses-exist-exhaustive", "lam in {5,8}", ok))
+    out.append(Check("inverses-exist-exhaustive", {"lam": "5,8"}, ok))
 
     # The kernel, which swaps its operands by width, against the bit-serial
     # reference of each cost model; Karatsuba's (slow) sees 5 draws a pair.
@@ -277,7 +257,9 @@ def _gf2_suite(seed: int) -> list[SuiteCheck]:
                 rv, rands, rxors = gf2ref.clmul_karatsuba_counted(
                     a.value, b.value, max(na, nb))
                 ok &= rv == p and (ck.ands, ck.xors) == (rands, rxors)
-    out.append(SuiteCheck("backend-equivalence", f"(na,nb) in {pairs} x200", ok))
+    out.append(Check("backend-equivalence",
+                     {"pairs": ",".join(f"{na}x{nb}" for na, nb in pairs),
+                      "draws": 200}, ok))
 
     ok = True
     for lam in (8, 127, 243):
@@ -288,14 +270,15 @@ def _gf2_suite(seed: int) -> list[SuiteCheck]:
             rem = reduce_mod(p, spec)
             ok &= rem.value == gf2ref.reduce_by_division(
                 p.value, spec.modulus.value)
-    out.append(SuiteCheck("reduce-vs-longdiv", "lam in {8,127,243} x200", ok))
+    out.append(Check("reduce-vs-longdiv", {"lam": "8,127,243", "draws": 200},
+                     ok))
 
     ok = True
     for lam in range(1, 17):
         got = find_irreducible(lam).modulus.value
         ok &= got == gf2ref.smallest_irreducible_lowweight_exhaustive(lam)
         ok &= is_irreducible(BitPoly(got, lam + 1))
-    out.append(SuiteCheck("modulus-scan-vs-oracle", "lam in 1..16", ok))
+    out.append(Check("modulus-scan-vs-oracle", {"lam": "1..16"}, ok))
 
     # The scan's distinct-degree pre-filter must reject a planted factor
     # of degree 13 .. D above the sieve's reach, which division confirms.
@@ -310,15 +293,14 @@ def _gf2_suite(seed: int) -> list[SuiteCheck]:
                 f = clmul(BitPoly(g, d + 1), BitPoly(h, lam - d + 1)).value
                 ok &= gf2._has_factor_up_to_prefilter_degree(f, lam)
                 ok &= gf2ref.polydivmod(f, g)[1] == 0
-    out.append(SuiteCheck(
-        "early-abort-vs-division",
-        f"lam in {{61,130,411}} x deg g in {{13,24,{top}}} x2", ok))
+    out.append(Check("early-abort-vs-division",
+                     {"lam": "61,130,411", "deg_g": f"13,24,{top}",
+                      "cofactors": 2}, ok))
     return out
 
 
-def _classical_suite(seed: int, budget: int) -> list:
+def _classical_suite(budget: int) -> list[Check]:
     from . import statlab
-    del seed  # the classical suite is exact and needs no randomness
     out = []
     for n in (3, 4):
         for ell in range(1, n + 1):
@@ -338,7 +320,7 @@ def _classical_suite(seed: int, budget: int) -> list:
     return out
 
 
-def _quantum_suite(seed: int) -> list:
+def _quantum_suite(seed: int) -> list[Check]:
     import numpy as np
     from . import qlab
     out = []
@@ -374,21 +356,21 @@ def _quantum_suite(seed: int) -> list:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    budget = args.budget if args.budget else _default_budget()
     if args.suite == "gf2":
-        reports = _gf2_suite(args.seed)
+        checks = _gf2_suite(args.seed)
     elif args.suite == "classical":
-        reports = _classical_suite(args.seed, budget)
+        # the classical suite is exact: it takes a budget, not a seed
+        checks = _classical_suite(args.budget or _default_budget())
     else:
-        reports = _quantum_suite(args.seed)
+        checks = _quantum_suite(args.seed)
     if args.format == "json":
         import json
-        print(json.dumps([r.to_dict() for r in reports], indent=2))
+        print(json.dumps([c.to_dict() for c in checks], indent=2))
     else:
-        for r in reports:
-            print(r.line())
-    failed = [r for r in reports if not r.passed]
-    summary = f"{len(reports) - len(failed)}/{len(reports)} checks passed"
+        for c in checks:
+            print(c.line())
+    failed = [c for c in checks if not c.passed]
+    summary = f"{len(checks) - len(failed)}/{len(checks)} checks passed"
     print(summary, file=sys.stderr)
     return 1 if failed else 0
 

@@ -11,7 +11,10 @@ beta = s || q. The lab verifies, by exact enumeration at small sizes:
 
 Everything is double precision; tolerances follow a two-level ladder
 (1e-12 structural, 1e-10 for identities) suited to eigendecompositions
-at dimension <= 32.
+at dimension <= 32. Every check returns a :class:`entroseal._record.Check`
+whose ``value`` is the measured float (a trace distance, an entrywise
+residual, or the averaged trace norm) and whose ``bound`` is the float
+it must not exceed (the tolerance, or the smallest proved ceiling).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._record import Check
 from .errors import BudgetError, DominationError, LengthError, PreconditionError
 from .gf2 import BitPoly
 from .keyexpand import ExpansionParams, Mode, expand_affine
@@ -45,8 +49,6 @@ __all__ = [
     "check_v_average_mixes",
     "check_pair_moment_identity",
     "check_trace_norm_bound",
-    "QlabCheck",
-    "TraceNormBoundReport",
 ]
 
 STRUCT_TOL = 1e-12
@@ -284,40 +286,18 @@ def random_matrix_function(n: int, dim: int,
     return out
 
 
-@dataclass(frozen=True)
-class QlabCheck:
-    """One verified identity or inequality: measured value vs its bound."""
-
-    name: str
-    context: dict
-    value: float
-    bound: float
-    passed: bool
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        ctx = " ".join(f"{k}={v}" for k, v in self.context.items())
-        return (f"{status} {self.name} {ctx}: value={self.value:.3e} "
-                f"<= bound={self.bound:.3e}")
-
-    def to_dict(self) -> dict:
-        return {"check": self.name, **self.context, "value": self.value,
-                "bound": self.bound, "passed": self.passed}
-
-
-def check_full_randomization(state: BipartiteState) -> QlabCheck:
+def check_full_randomization(state: BipartiteState) -> Check:
     """Average over all keys lands on (fully mixed) x rho^E."""
     avg = full_qotp_average(state)
     target = np.kron(fully_mixed(state.dim_a), state.reduced_e())
     dist = trace_norm(avg.mat - target)
-    return QlabCheck(
-        name="full-randomization",
-        context={"n": state.n_qubits, "dim_e": state.dim_e},
-        value=dist, bound=IDENTITY_TOL, passed=dist <= IDENTITY_TOL)
+    return Check("full-randomization",
+                 {"n": state.n_qubits, "dim_e": state.dim_e},
+                 dist <= IDENTITY_TOL, dist, IDENTITY_TOL)
 
 
 def check_v_average_mixes(u: BitPoly, params: ExpansionParams,
-                          state: BipartiteState) -> QlabCheck:
+                          state: BipartiteState) -> Check:
     """For fixed u, the v-average of key averages is already fully mixed."""
     tail = params.tail_len
     acc = np.zeros_like(state.mat)
@@ -326,16 +306,15 @@ def check_v_average_mixes(u: BitPoly, params: ExpansionParams,
     acc /= 1 << tail
     target = np.kron(fully_mixed(state.dim_a), state.reduced_e())
     dist = trace_norm(acc - target)
-    return QlabCheck(
-        name="v-average-mixes",
-        context={"n": params.n, "ell": params.ell, "u": u.value,
-                 "dim_e": state.dim_e},
-        value=dist, bound=IDENTITY_TOL, passed=dist <= IDENTITY_TOL)
+    return Check("v-average-mixes",
+                 {"n": params.n, "ell": params.ell, "u": u.value,
+                  "dim_e": state.dim_e},
+                 dist <= IDENTITY_TOL, dist, IDENTITY_TOL)
 
 
 def check_pair_moment_identity(n: int, ell: int,
                                f: Sequence[np.ndarray] | None = None,
-                               seed: int = 0, dim: int = 4) -> QlabCheck:
+                               seed: int = 0, dim: int = 4) -> Check:
     """Second-moment identity for pairs of expanded keys.
 
     With b(k, u, v) the expanded key and f any matrix-valued function of
@@ -389,55 +368,14 @@ def check_pair_moment_identity(n: int, ell: int,
     scale = max(float(np.max(np.abs(fb))) for fb in f) ** 2
     residual = float(np.max(np.abs(lhs - rhs)))
     bound = IDENTITY_TOL * scale
-    return QlabCheck(
-        name="pair-moment-identity",
-        context={"n": n, "ell": ell, "lam": lam, "dim": d, "seed": seed},
-        value=residual, bound=bound, passed=residual <= bound)
-
-
-@dataclass(frozen=True)
-class TraceNormBoundReport:
-    """Exact distance-from-mixed average against the per-sigma ceilings."""
-
-    n: int
-    ell: int
-    dim_e: int
-    lhs: float
-    sigma_bounds: tuple[float, ...]
-    sigma_passed: tuple[bool, ...]
-    product_bound: float | None
-    product_passed: bool | None
-    passed: bool
-
-    @property
-    def name(self) -> str:
-        return "trace-norm-bound"
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        extra = ""
-        if self.product_bound is not None:
-            extra = (f" product_bound={self.product_bound:.3e}"
-                     f" product_ok={self.product_passed}")
-        return (f"{status} {self.name} n={self.n} ell={self.ell} "
-                f"dim_e={self.dim_e}: lhs={self.lhs:.6e} vs "
-                f"{len(self.sigma_bounds)} sigma bounds "
-                f"(min={min(self.sigma_bounds):.6e}){extra}")
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.name, "n": self.n, "ell": self.ell,
-            "dim_e": self.dim_e, "lhs": self.lhs,
-            "sigma_bounds": list(self.sigma_bounds),
-            "sigma_passed": list(self.sigma_passed),
-            "product_bound": self.product_bound,
-            "product_passed": self.product_passed, "passed": self.passed,
-        }
+    return Check("pair-moment-identity",
+                 {"n": n, "ell": ell, "lam": lam, "dim": d, "seed": seed},
+                 residual <= bound, residual, bound)
 
 
 def check_trace_norm_bound(params: ExpansionParams, state: BipartiteState,
                            sigma_list: Sequence[np.ndarray],
-                           rel_tol: float = 1e-9) -> TraceNormBoundReport:
+                           rel_tol: float = 1e-9) -> Check:
     """E_uv || R_uv(rho) - mixed x rho^E ||_1 <= per-sigma ceiling.
 
     The left side is enumerated exactly over all (u, v, k). Each sigma
@@ -445,6 +383,10 @@ def check_trace_norm_bound(params: ExpansionParams, state: BipartiteState,
     s = 1 x sigma^-1/2; the inequality is proved for every sigma, so
     each entry is a hard check. Product states additionally satisfy
     the closed-form ceiling sqrt(2^(n-ell) Tr[(rho^A)^2]).
+
+    The check's value is the left side and its bound the smallest of
+    these ceilings; it passes iff value <= bound * (1 + rel_tol), that
+    is, iff every ceiling holds.
     """
     if params.mode is not Mode.QUANTUM:
         raise PreconditionError("the bound concerns quantum-mode sizes")
@@ -467,29 +409,19 @@ def check_trace_norm_bound(params: ExpansionParams, state: BipartiteState,
     lhs = total / (1 << (lam + tail))
 
     factor = 2.0 ** (params.n - params.ell)
-    bounds = []
-    oks = []
-    for sigma in sigma_list:
-        term = collision_entropy_term(state, sigma)
-        tr_sigma = float(np.trace(sigma).real)
-        rhs = math.sqrt(factor * tr_sigma * term)
-        bounds.append(rhs)
-        oks.append(lhs <= rhs * (1.0 + rel_tol))
+    bounds = [math.sqrt(factor * float(np.trace(sigma).real)
+                        * collision_entropy_term(state, sigma))
+              for sigma in sigma_list]
+    context = {"n": params.n, "ell": params.ell, "dim_e": state.dim_e,
+               "sigmas": len(bounds)}
 
     rho_a = state.reduced_a()
-    rho_e = state.reduced_e()
-    is_product = (np.max(np.abs(state.mat - np.kron(rho_a, rho_e)))
-                  <= IDENTITY_TOL)
-    product_bound = None
-    product_passed = None
-    if is_product:
+    if np.max(np.abs(state.mat - np.kron(rho_a, state.reduced_e()))) \
+            <= IDENTITY_TOL:
         purity_a = float(np.trace(rho_a @ rho_a).real)
-        product_bound = math.sqrt(factor * purity_a)
-        product_passed = lhs <= product_bound * (1.0 + rel_tol)
+        context["product_bound"] = math.sqrt(factor * purity_a)
+        bounds.append(context["product_bound"])
 
-    passed = all(oks) and (product_passed is not False)
-    return TraceNormBoundReport(
-        n=params.n, ell=params.ell, dim_e=state.dim_e, lhs=lhs,
-        sigma_bounds=tuple(bounds), sigma_passed=tuple(oks),
-        product_bound=product_bound, product_passed=product_passed,
-        passed=passed)
+    bound = min(bounds)
+    return Check("trace-norm-bound", context,
+                 lhs <= bound * (1.0 + rel_tol), lhs, bound)

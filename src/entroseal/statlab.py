@@ -1,11 +1,17 @@
 """Exact verification of the classical security claims.
 
-Everything here is integer arithmetic: a distribution is a map from
-outcomes to integer numerators over one common denominator, so collision
-probabilities, statistical distances, and the security bounds compare as
-exact rationals. The checks can then assert the claimed inequalities
-with no tolerance at all; a reported failure is a real counterexample,
-not rounding noise.
+A distribution is a map from outcomes to integer numerators over one
+common denominator, so collision probabilities, statistical distances,
+and the security bounds compare as exact rationals. The three bound
+checks (``check_collision_bound``, ``check_indistinguishability`` and
+``check_derived_sizing``) assert the claimed inequalities with no
+tolerance at all; a reported failure is a real counterexample, not
+rounding noise. The one approximate test is ``chi_squared_uniform``, a
+float statistic against a Wilson-Hilferty threshold, for sampled counts.
+
+Every check returns a :class:`entroseal._record.Check` whose ``value``
+and ``bound`` are the two sides it compares, as exact ``Fraction``
+values (floats for the chi-squared test).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Mapping
 
+from ._record import Check
 from .errors import BudgetError, LengthError, PreconditionError
 from .gf2 import BitPoly
 from .keyexpand import ExpansionParams, Mode, expand_affine
@@ -38,10 +45,6 @@ __all__ = [
     "check_indistinguishability",
     "check_derived_sizing",
     "chi_squared_uniform",
-    "CollisionBoundReport",
-    "IndistinguishabilityReport",
-    "DerivedSizingReport",
-    "ChiSquaredReport",
 ]
 
 DEFAULT_BUDGET = 2 ** 30
@@ -188,152 +191,52 @@ def ciphertext_distribution(params: ExpansionParams, dx: Distribution,
     return Distribution(lam + tail + params.n, acc, den)
 
 
-@dataclass(frozen=True)
-class CollisionBoundReport:
-    """Ciphertext collision probability against its proved ceiling."""
-
-    n: int
-    ell: int
-    lam: int
-    label: str
-    lhs: Fraction
-    bound: Fraction
-    passed: bool
-    outside_proof_branch: bool
-
-    @property
-    def name(self) -> str:
-        return "collision-bound"
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        flag = " [lambda>ell branch]" if self.outside_proof_branch else ""
-        return (f"{status} {self.name} n={self.n} ell={self.ell} "
-                f"X={self.label}: lhs={float(self.lhs):.6e} <= "
-                f"bound={float(self.bound):.6e}{flag}")
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.name, "n": self.n, "ell": self.ell,
-            "lam": self.lam, "family": self.label,
-            "lhs": str(self.lhs), "bound": str(self.bound),
-            "lhs_float": float(self.lhs), "bound_float": float(self.bound),
-            "outside_proof_branch": self.outside_proof_branch,
-            "passed": self.passed,
-        }
-
-
 def check_collision_bound(params: ExpansionParams, dx: Distribution,
                           budget: int = DEFAULT_BUDGET,
-                          label: str = "") -> CollisionBoundReport:
+                          label: str = "") -> Check:
     """Collision probability of the ciphertext <= 2^-2n (1 + 2^(n-ell) CP(X)).
 
     Both sides are exact rationals, so the comparison has no tolerance.
     When lambda > ell (short keys) the inequality is still checked but
-    flagged, since the proof's counting argument is stated for the
-    lambda = ell branch.
+    flagged (``lambda_gt_ell``), since the proof's counting argument is
+    stated for the lambda = ell branch.
     """
     y = ciphertext_distribution(params, dx, budget)
     lhs = collision_probability(y)
     cp_x = collision_probability(dx)
     n, ell = params.n, params.ell
     bound = Fraction(1, 1 << (2 * n)) * (1 + (1 << (n - ell)) * cp_x)
-    return CollisionBoundReport(
-        n=n, ell=ell, lam=params.lam, label=label, lhs=lhs, bound=bound,
-        passed=lhs <= bound, outside_proof_branch=params.lam != params.ell)
-
-
-@dataclass(frozen=True)
-class IndistinguishabilityReport:
-    """Measured distance to uniform against the collision-implied level."""
-
-    n: int
-    ell: int
-    label: str
-    delta: Fraction
-    eps_star_sq: Fraction
-    passed: bool
-
-    @property
-    def name(self) -> str:
-        return "indistinguishability"
-
-    @property
-    def eps_star(self) -> float:
-        return math.sqrt(float(self.eps_star_sq))
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} {self.name} n={self.n} ell={self.ell} "
-                f"X={self.label}: delta={float(self.delta):.6e} <= "
-                f"eps*={self.eps_star:.6e}")
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.name, "n": self.n, "ell": self.ell,
-            "family": self.label, "delta": str(self.delta),
-            "delta_float": float(self.delta),
-            "eps_star_sq": str(self.eps_star_sq),
-            "eps_star_float": self.eps_star, "passed": self.passed,
-        }
+    return Check(
+        "collision-bound",
+        {"n": n, "ell": ell, "lam": params.lam, "family": label,
+         "lambda_gt_ell": params.lam != ell},
+        lhs <= bound, lhs, bound)
 
 
 def check_indistinguishability(params: ExpansionParams, dx: Distribution,
                                budget: int = DEFAULT_BUDGET,
-                               label: str = "") -> IndistinguishabilityReport:
+                               label: str = "") -> Check:
     """Distance to uniform <= eps*, with eps* from the collision level.
 
     If a distribution on S points has collision probability
     (1 + 2 eps^2)/|S| then it is within eps of uniform; eps* is the eps
     that makes this tight for the measured collision probability. The
-    comparison is done on squares to stay in exact arithmetic.
+    comparison is done on squares to stay in exact arithmetic: the
+    check's value is delta^2 and its bound eps*^2.
     """
     y = ciphertext_distribution(params, dx, budget)
     delta = distance_to_uniform(y)
     cp = collision_probability(y)
     size = 1 << y.nbits
-    eps_star_sq = (cp * size - 1) / 2
-    if eps_star_sq < 0:
-        eps_star_sq = Fraction(0)
-    passed = delta * delta <= eps_star_sq
-    return IndistinguishabilityReport(
-        n=params.n, ell=params.ell, label=label, delta=delta,
-        eps_star_sq=eps_star_sq, passed=passed)
-
-
-@dataclass(frozen=True)
-class DerivedSizingReport:
-    """Distance to uniform at the derived key length, against 8 epsilon."""
-
-    n: int
-    t: int
-    epsilon: float
-    ell: int
-    delta: Fraction
-    bound: Fraction
-    passed: bool
-
-    @property
-    def name(self) -> str:
-        return "derived-sizing"
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} {self.name} n={self.n} t={self.t} "
-                f"eps={self.epsilon:g} ell={self.ell}: "
-                f"delta={float(self.delta):.6e} <= 8*eps={float(self.bound):.6e}")
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.name, "n": self.n, "t": self.t,
-            "epsilon": self.epsilon, "ell": self.ell,
-            "delta": str(self.delta), "delta_float": float(self.delta),
-            "bound": str(self.bound), "passed": self.passed,
-        }
+    eps_star_sq = max((cp * size - 1) / 2, Fraction(0))
+    return Check(
+        "indistinguishability",
+        {"n": params.n, "ell": params.ell, "family": label},
+        delta * delta <= eps_star_sq, delta * delta, eps_star_sq)
 
 
 def check_derived_sizing(n: int, t: int, epsilon: float,
-                         budget: int = DEFAULT_BUDGET) -> DerivedSizingReport:
+                         budget: int = DEFAULT_BUDGET) -> Check:
     """At the derived classical key length, distance to uniform <= 8 eps.
 
     The plaintext family is flat on a 2^t subset (the worst case the
@@ -345,38 +248,10 @@ def check_derived_sizing(n: int, t: int, epsilon: float,
     y = ciphertext_distribution(params.expansion, dx, budget)
     delta = distance_to_uniform(y)
     bound = 8 * Fraction(epsilon)
-    return DerivedSizingReport(
-        n=n, t=t, epsilon=epsilon, ell=params.ell, delta=delta,
-        bound=bound, passed=delta <= bound)
-
-
-@dataclass(frozen=True)
-class ChiSquaredReport:
-    """Uniformity test outcome for empirical counts."""
-
-    nbits: int
-    samples: int
-    statistic: float
-    threshold: float
-    significance: float
-    passed: bool
-
-    @property
-    def name(self) -> str:
-        return "chi-squared-uniformity"
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} {self.name} nbits={self.nbits} N={self.samples}: "
-                f"stat={self.statistic:.2f} < threshold={self.threshold:.2f} "
-                f"(sig={self.significance:g})")
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.name, "nbits": self.nbits, "samples": self.samples,
-            "statistic": self.statistic, "threshold": self.threshold,
-            "significance": self.significance, "passed": self.passed,
-        }
+    return Check(
+        "derived-sizing",
+        {"n": n, "t": t, "epsilon": epsilon, "ell": params.ell},
+        delta <= bound, delta, bound)
 
 
 def _chi_squared_quantile(df: int, p: float) -> float:
@@ -387,8 +262,11 @@ def _chi_squared_quantile(df: int, p: float) -> float:
 
 
 def chi_squared_uniform(counts: Mapping[int, int], nbits: int,
-                        significance: float = 1e-3) -> ChiSquaredReport:
-    """Pearson chi-squared test of uniformity over all 2^nbits cells."""
+                        significance: float = 1e-3) -> Check:
+    """Pearson chi-squared test of uniformity over all 2^nbits cells.
+
+    The statistic must fall strictly below the threshold.
+    """
     cells = 1 << nbits
     total = sum(counts.values())
     if total <= 0:
@@ -399,6 +277,7 @@ def chi_squared_uniform(counts: Mapping[int, int], nbits: int,
         diff = counts.get(x, 0) - expected
         stat += diff * diff / expected
     threshold = _chi_squared_quantile(cells - 1, 1.0 - significance)
-    return ChiSquaredReport(
-        nbits=nbits, samples=total, statistic=stat, threshold=threshold,
-        significance=significance, passed=stat < threshold)
+    return Check(
+        "chi-squared-uniformity",
+        {"nbits": nbits, "samples": total, "significance": significance},
+        stat < threshold, stat, threshold)

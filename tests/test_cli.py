@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import entroseal
-from entroseal import cli
+from entroseal import cli, statlab
 from entroseal.cli import _parse_epsilon, main
 from entroseal.errors import (ConfigurationError, DominationError,
                               EntropyError, EntrosealError)
+from entroseal.keyexpand import ExpansionParams
 
 KEY_BYTES = bytes(range(1, 255)) * 2  # 508 bytes = 4064 bits of key material
 
@@ -255,12 +257,70 @@ class TestVerify:
         assert rc == 2
         assert "ENTROSEAL_BUDGET" in err
 
+    @pytest.mark.parametrize("suite", ["gf2", "quantum"])
+    def test_only_the_classical_suite_reads_the_budget(self, capsys,
+                                                       monkeypatch, suite):
+        monkeypatch.setenv("ENTROSEAL_BUDGET", "bogus")
+        if suite == "gf2":
+            # the gf2 suite takes seconds; the budget is read (or not)
+            # before any suite runs
+            monkeypatch.setattr(cli, "_gf2_suite", lambda seed: [])
+        rc, _, err = run(capsys, ["verify", suite])
+        assert rc == 0, err
+        rc, _, err = run(capsys, ["verify", "classical"])
+        assert rc == 2
+        assert "ENTROSEAL_BUDGET" in err
+
     def test_explicit_budget_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ENTROSEAL_BUDGET", "4")
         rc, _, err = run(capsys, [
             "verify", "classical", "--budget", str(1 << 30)])
         assert rc == 0
         assert "108/108" in err
+
+
+class TestVerifyJson:
+    def test_every_suite_emits_one_layout(self, capsys):
+        counts = {}
+        for suite in ("gf2", "classical", "quantum"):
+            rc, out, _ = run(capsys, ["verify", suite, "--format", "json"])
+            assert rc == 0
+            checks = json.loads(out)
+            counts[suite] = len(checks)
+            for c in checks:
+                assert isinstance(c["check"], str)
+                assert c["passed"] is True
+                assert list(c)[0] == "check"
+                assert list(c)[-3:] == ["value", "bound", "passed"]
+                if suite == "gf2":
+                    assert c["value"] is None and c["bound"] is None
+                    continue
+                if suite == "quantum":
+                    assert isinstance(c["value"], float)
+                    assert isinstance(c["bound"], float)
+                    continue
+                # exact rationals come back as the values compared
+                value, bound = Fraction(c["value"]), Fraction(c["bound"])
+                assert value <= bound
+                params = ExpansionParams.classical(c["n"], c["ell"])
+                if c["check"] == "collision-bound":
+                    dx = _classical_family(c["n"], c["family"])
+                    want = statlab.check_collision_bound(params, dx)
+                elif c["check"] == "indistinguishability":
+                    dx = _classical_family(c["n"], c["family"])
+                    want = statlab.check_indistinguishability(params, dx)
+                else:
+                    want = statlab.check_derived_sizing(
+                        c["n"], c["t"], c["epsilon"])
+                assert (value, bound) == (want.value, want.bound)
+        assert counts == {"gf2": 6, "classical": 108, "quantum": 72}
+
+
+def _classical_family(n, label):
+    if label.startswith("flat-2^"):
+        return statlab.flat_subset(n, int(label[len("flat-2^"):]))
+    return {"uniform": statlab.uniform, "point-mass": statlab.point_mass,
+            "geometric": statlab.geometric}[label](n)
 
 
 class TestVerifyGf2:

@@ -313,8 +313,9 @@ class TestChecks:
         sigmas = [st.reduced_e(), fully_mixed(2)]
         rep = check_trace_norm_bound(params, st, sigmas)
         assert rep.passed, rep.line()
-        assert rep.product_bound == pytest.approx(1.0)
-        assert rep.product_passed
+        product_bound = dict(rep.context)["product_bound"]
+        assert product_bound == pytest.approx(1.0)
+        assert rep.value <= product_bound * (1 + 1e-9)
 
     def test_trace_norm_bound_entangled_state(self):
         params = ExpansionParams.quantum(1, 1)
@@ -326,13 +327,13 @@ class TestChecks:
             sigmas.append(g @ g.conj().T + 0.05 * np.eye(2))
         rep = check_trace_norm_bound(params, st, sigmas)
         assert rep.passed, rep.line()
-        assert rep.product_bound is None
+        assert "product_bound" not in dict(rep.context)
 
     def test_trace_norm_bound_fixed_point_has_zero_lhs(self):
         params = ExpansionParams.quantum(1, 1)
         st = BipartiteState(1, 2, np.eye(4, dtype=np.complex128) / 4)
         rep = check_trace_norm_bound(params, st, [fully_mixed(2)])
-        assert rep.lhs <= 1e-13
+        assert rep.value <= 1e-13
         assert rep.passed
 
     def test_trace_norm_bound_guards(self):

@@ -2,11 +2,12 @@
 over the stored fields, keyword construction, and the exact repr."""
 
 import pickle
+from fractions import Fraction
 
 import pytest
 
+from entroseal._record import Check
 from entroseal.cipher import Ciphertext, SchemeParams
-from entroseal.cli import SuiteCheck
 from entroseal.gf2 import BitPoly, FieldSpec, OpCount, find_irreducible
 from entroseal.keyexpand import ExpansionParams, Mode
 
@@ -41,8 +42,12 @@ RECORDS = {
                    "Ciphertext(n=8, ell=3, mode=<Mode.CLASSICAL: "
                    "'classical'>, u=BitPoly(0x1, nbits=5), "
                    "v=BitPoly(0x2, nbits=5), payload=BitPoly(0x3, nbits=8))"),
-    "SuiteCheck": (lambda: SuiteCheck(name="a", context="b", passed=True),
-                   "passed", "SuiteCheck(name='a', context='b', passed=True)"),
+    "Check": (lambda: Check(name="a", context={"n": 3, "family": "b"},
+                            passed=True, value=Fraction(1, 128),
+                            bound=Fraction(3, 128)),
+              "passed",
+              "Check(name='a', context=(('n', 3), ('family', 'b')), "
+              "passed=True, value=Fraction(1, 128), bound=Fraction(3, 128))"),
 }
 
 
@@ -109,8 +114,8 @@ def test_keyword_and_positional_construction_agree():
         SchemeParams(64, 32, 0.25, Mode.CLASSICAL)
     spec = find_irreducible(8)
     assert FieldSpec(spec.lam, spec.modulus, spec.reduction_exponents) == spec
-    assert SuiteCheck("a", "b", False) == SuiteCheck(
-        name="a", context="b", passed=False)
+    assert Check("a", {"k": "b"}, False) == Check(
+        name="a", context=(("k", "b"),), passed=False, value=None, bound=None)
 
 
 def test_opcount_defaults():
@@ -128,3 +133,21 @@ def test_derived_sizes_stay_out_of_equality_and_repr():
     c = _ciphertext()
     assert c.expansion == ExpansionParams(8, 3, Mode.CLASSICAL)
     assert "expansion" not in repr(c)
+
+
+def test_check_line_and_dict_share_one_layout():
+    exact = Check("collision-bound", {"n": 3, "family": "uniform"}, True,
+                  Fraction(1, 128), Fraction(3, 128))
+    assert exact.line() == ("PASS collision-bound n=3 family=uniform: "
+                            "value=7.812500e-03 <= bound=2.343750e-02")
+    assert exact.to_dict() == {"check": "collision-bound", "n": 3,
+                               "family": "uniform", "value": "1/128",
+                               "bound": "3/128", "passed": True}
+    approx = Check("full-randomization", {"n": 1}, False, 0.5, 1e-10)
+    assert approx.line() == ("FAIL full-randomization n=1: "
+                             "value=5.000000e-01 <= bound=1.000000e-10")
+    assert approx.to_dict()["value"] == 0.5
+    plain = Check("reduce-vs-longdiv", {"lam": "8,127"}, True)
+    assert plain.line() == "PASS reduce-vs-longdiv lam=8,127"
+    assert plain.to_dict() == {"check": "reduce-vs-longdiv", "lam": "8,127",
+                               "value": None, "bound": None, "passed": True}

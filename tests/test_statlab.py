@@ -211,8 +211,9 @@ class TestSecurityChecks:
                                   ("geometric", geometric(n))]:
                     rep = check_collision_bound(params, dx, label=label)
                     assert rep.passed, rep.line()
-                    assert rep.outside_proof_branch == (params.lam != ell)
-                    assert rep.lhs <= rep.bound
+                    assert dict(rep.context)["lambda_gt_ell"] == (
+                        params.lam != ell)
+                    assert rep.value <= rep.bound
 
     def test_collision_bound_report_shape(self):
         rep = check_collision_bound(ExpansionParams.classical(3, 3),
@@ -225,8 +226,8 @@ class TestSecurityChecks:
         rep = check_indistinguishability(ExpansionParams.classical(3, 2),
                                          uniform(3), label="uniform")
         assert rep.passed
-        assert rep.delta == 0
-        assert rep.eps_star_sq == 0
+        assert rep.value == 0  # delta^2
+        assert rep.bound == 0  # eps*^2
 
     def test_indistinguishability_on_structured_families(self):
         for n, ell, t in [(3, 2, 1), (4, 3, 2), (4, 2, 2)]:
@@ -234,15 +235,16 @@ class TestSecurityChecks:
                 ExpansionParams.classical(n, ell), flat_subset(n, t),
                 label=f"flat-{t}")
             assert rep.passed, rep.line()
-            assert Fraction(rep.delta) ** 2 <= rep.eps_star_sq
+            assert isinstance(rep.value, Fraction)
+            assert rep.value <= rep.bound  # delta^2 <= eps*^2
 
     def test_derived_sizing_degenerate_and_generic(self):
         # ell = n instances pad with the key alone and sit at distance 0
         rep = check_derived_sizing(4, 3, 2.0 ** -4)
-        assert rep.ell == 4 and rep.delta == 0 and rep.passed
+        assert dict(rep.context)["ell"] == 4 and rep.value == 0 and rep.passed
         # a genuinely expanding instance
         rep2 = check_derived_sizing(5, 4, 2.0 ** -4)
-        assert rep2.ell == 4
+        assert dict(rep2.context)["ell"] == 4
         assert rep2.bound == Fraction(1, 2)
         assert rep2.passed, rep2.line()
         assert "PASS derived-sizing" in rep2.line()
@@ -267,7 +269,7 @@ class TestChiSquared:
         counts = Counter(rng.randrange(16) for _ in range(40_000))
         rep = chi_squared_uniform(counts, 4)
         assert rep.passed, rep.line()
-        assert rep.samples == 40_000
+        assert dict(rep.context)["samples"] == 40_000
 
     def test_biased_counts_fail(self):
         rng = random.Random(106)
