@@ -11,15 +11,21 @@ two-input AND and XOR gates a hardware realization of the chosen
 counting rules are mirrored bit-serially in :mod:`entroseal.gf2ref` and
 the two are tested against each other.
 
+One loop, :func:`_square_mod`, computes every remainder and every square
+modulo f: :func:`reduce_mod`, Rabin's walk and the pre-filter's product
+all call it. It folds a sparse f through its non-leading terms until the
+value fits and divides a dense one out; only :func:`reduce_cost` knows
+the fixed round structure of the counted network.
+
 :func:`find_irreducible` picks each field's modulus on one path: a table
 of precomputed moduli or else a scan, cached per degree by ``lru_cache``,
 with every modulus turned into a :class:`FieldSpec` by one constructor.
 The scan tests each candidate with a small-factor sieve, then (from
 degree 512) a distinct-degree pre-filter, then Rabin's test; the first
 two only skip reducible candidates early, so the modulus is Rabin's
-verdict alone. Only the standard library is used: the Frobenius walk
-squares by spreading bytes through ``bytes.translate`` tables into one
-reused buffer, and the sieve's tables are 16-bit ``array`` views.
+verdict alone. Only the standard library is used: squares are spread a
+byte at a time through ``bytes.translate`` tables into one reused
+buffer, and the sieve's tables are 16-bit ``array`` views.
 """
 
 from __future__ import annotations
@@ -191,28 +197,20 @@ def _comb_int(a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _kara_and_cost(nbits: int) -> int:
-    """AND gates for Karatsuba at width nbits: A(1)=1, A(v)=2A(ceil)+A(floor)."""
-    if nbits <= 1:
-        return nbits
-    hi = (nbits + 1) // 2
-    lo = nbits // 2
-    return 2 * _kara_and_cost(hi) + _kara_and_cost(lo)
+def _kara_cost(nbits: int) -> OpCount:
+    """Gates for Karatsuba at width nbits, split into ceil(v/2) + floor(v/2).
 
-
-@lru_cache(maxsize=None)
-def _kara_xor_cost(nbits: int) -> int:
-    """XOR gates for Karatsuba at width nbits.
-
+    ANDs: A(1) = 1 and A(v) = 2 A(ceil(v/2)) + A(floor(v/2)). XORs:
     X(1) = 0 and X(v) = 2 X(ceil(v/2)) + X(floor(v/2)) + 4v - 4: splitting
     costs two half-width additions (2 ceil(v/2) <= v+1, counted exactly
     below), and recombining xors the middle product into the overlap.
     """
     if nbits <= 1:
-        return 0
-    hi = (nbits + 1) // 2
-    lo = nbits // 2
-    return 2 * _kara_xor_cost(hi) + _kara_xor_cost(lo) + 4 * nbits - 4
+        return OpCount(nbits, 0)
+    hi = _kara_cost((nbits + 1) // 2)
+    lo = _kara_cost(nbits // 2)
+    return OpCount(2 * hi.ands + lo.ands,
+                   2 * hi.xors + lo.xors + 4 * nbits - 4)
 
 
 def clmul_cost(na: int, nb: int, backend: Backend = Backend.SCHOOLBOOK) -> OpCount:
@@ -230,8 +228,7 @@ def clmul_cost(na: int, nb: int, backend: Backend = Backend.SCHOOLBOOK) -> OpCou
     if backend is Backend.SCHOOLBOOK:
         return OpCount(na * nb, na * nb - (na + nb - 1))
     if backend is Backend.KARATSUBA:
-        width = max(na, nb)
-        return OpCount(_kara_and_cost(width), _kara_xor_cost(width))
+        return _kara_cost(max(na, nb))
     raise ConfigurationError(f"unknown backend {backend!r}")
 
 
@@ -317,14 +314,16 @@ def reduce_mod(p: BitPoly, spec: FieldSpec) -> BitPoly:
     """Reduce modulo the field's irreducible polynomial to lam bits.
 
     Accepts widths up to 2*lam (a full product of two field elements).
-    The fold loop mirrors the oblivious shift-and-xor network whose gates
-    :func:`reduce_cost` counts.
+    A sparse modulus is folded through its non-leading terms until the
+    value fits, a dense one divided out (:func:`_square_mod` with no
+    squaring); the gates are counted by :func:`reduce_cost` alone.
     """
     lam = spec.lam
     if p.nbits > 2 * lam:
         raise PreconditionError(
             f"reduction input of {p.nbits} bits exceeds 2*lam = {2 * lam}")
-    val = _fold_reduce_int(p.value, p.nbits, lam, spec.reduction_exponents)
+    val = _square_mod(p.value, 0, spec.modulus.value, lam,
+                      _fold_exponents(spec.reduction_exponents))
     return BitPoly(val, lam)
 
 
@@ -348,14 +347,6 @@ def lsb_truncate(p: BitPoly, m: int) -> BitPoly:
 # Irreducibility testing and the modulus lookup
 # ---------------------------------------------------------------------------
 
-def _polymod_int(a: int, m: int) -> int:
-    """Remainder of a(x) modulo m(x), both as coefficient masks."""
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
 def _exponents_desc(v: int) -> tuple[int, ...]:
     """Exponents of the set coefficients of v, highest first."""
     out = []
@@ -364,22 +355,6 @@ def _exponents_desc(v: int) -> tuple[int, ...]:
         out.append(e)
         v ^= 1 << e
     return tuple(out)
-
-
-def _fold_reduce_int(val: int, width: int, lam: int,
-                     rest_exps: tuple[int, ...]) -> int:
-    """Fold bits above degree lam-1 down through the non-leading terms."""
-    top = rest_exps[0] if rest_exps else 0
-    low_mask = (1 << lam) - 1
-    cur = width
-    while cur > lam:
-        h = cur - lam
-        hi = val >> lam
-        val &= low_mask
-        for e in rest_exps:
-            val ^= hi << e
-        cur = lam if h + top <= lam else h + top
-    return val
 
 
 def _polygcd_int(a: int, b: int) -> int:
@@ -403,19 +378,6 @@ _SPREAD_LOW = bytes(sum(((w >> i) & 1) << (2 * i) for i in range(4))
 _SPREAD_HIGH = bytes(_SPREAD_LOW[w >> 4] for w in range(256))
 
 
-def _square_int(v: int) -> int:
-    """Square of a GF(2) polynomial: interleave zeros between coefficients.
-
-    Each byte is spread by two ``bytes.translate`` tables, one per nibble,
-    whose outputs interleave into the even and odd bytes of the square.
-    """
-    raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
-    out = bytearray(2 * len(raw))
-    out[0::2] = raw.translate(_SPREAD_LOW)
-    out[1::2] = raw.translate(_SPREAD_HIGH)
-    return int.from_bytes(out, "little")
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -430,43 +392,46 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _fold_exponents(f: int, lam: int) -> tuple[int, ...] | None:
-    """Non-leading exponents of f (degree lam) when it is sparse enough to
-    reduce by folding through them, else None (reduce by long division)."""
-    rest = _exponents_desc(f ^ (1 << lam))
+def _fold_exponents(rest: tuple[int, ...]) -> tuple[int, ...] | None:
+    """A modulus's non-leading exponents when it is sparse enough to reduce
+    by folding through them, else None (reduce by long division)."""
     return rest if 0 < len(rest) <= 16 else None
 
 
-def _frobenius(b: int, steps: int, f: int, lam: int,
-               rest: tuple[int, ...] | None) -> int:
-    """b^(2^steps) mod f, for b of degree below lam = deg f.
+def _square_mod(b: int, steps: int, f: int, lam: int,
+                rest: tuple[int, ...] | None) -> int:
+    """b^(2^steps) mod f, for f of degree lam; with steps = 0, b mod f.
 
-    For a sparse f (``rest`` from :func:`_fold_exponents`) one loop squares
-    into a reused buffer, each byte spread by the two nibble tables, and
-    folds the high half back through the non-leading terms inline; this is
-    what makes degree-30000 tests practical. A dense f (``rest`` None)
-    reduces each square by long division.
+    Each pass reduces b: a sparse f (``rest`` from :func:`_fold_exponents`)
+    folds the bits at or above lam back through its non-leading terms until
+    none is left, a dense f (``rest`` None) is divided out. While steps
+    remain, b is then squared into one reused buffer, each byte spread by
+    the two nibble tables; this is what makes degree-30000 tests practical.
     """
-    if rest is None:
-        for _ in range(steps):
-            b = _polymod_int(_square_int(b), f)
-        return b
     nbytes = (lam + 7) // 8
-    out = bytearray(2 * nbytes)
+    out = bytearray(2 * nbytes) if steps else None  # reduce_mod squares none
     low, high = _SPREAD_LOW, _SPREAD_HIGH
     mask = (1 << lam) - 1
-    for _ in range(steps):
+    while True:
+        if rest is None:
+            da = b.bit_length()
+            while da > lam:
+                b ^= f << (da - lam - 1)
+                da = b.bit_length()
+        else:
+            hi = b >> lam
+            while hi:
+                b &= mask
+                for e in rest:
+                    b ^= hi << e
+                hi = b >> lam
+        if not steps:
+            return b
+        steps -= 1
         raw = b.to_bytes(nbytes, "little")
         out[0::2] = raw.translate(low)
         out[1::2] = raw.translate(high)
         b = int.from_bytes(out, "little")
-        hi = b >> lam
-        while hi:
-            b &= mask
-            for e in rest:
-                b ^= hi << e
-            hi = b >> lam
-    return b
 
 
 def _is_irreducible_frobenius(f: int, lam: int) -> bool:
@@ -476,15 +441,15 @@ def _is_irreducible_frobenius(f: int, lam: int) -> bool:
     each maximal proper divisor lam/p. A non-squarefree f fails the final
     equality or a checkpoint, so no separate squarefree pass is needed.
     """
-    rest = _fold_exponents(f, lam)
-    x = _polymod_int(2, f)  # the polynomial x, reduced (x + 1 at lam = 1)
+    rest = _fold_exponents(_exponents_desc(f ^ (1 << lam)))
+    x = _square_mod(2, 0, f, lam, rest)  # x, reduced (x + 1 at lam = 1)
     b, done = x, 0
     for k in sorted({lam // p for p in _prime_factors(lam)}):
-        b = _frobenius(b, k - done, f, lam, rest)
+        b = _square_mod(b, k - done, f, lam, rest)
         done = k
         if _polygcd_int(b ^ x, f) != 1:
             return False
-    return _frobenius(b, lam - done, f, lam, rest) == x
+    return _square_mod(b, lam - done, f, lam, rest) == x
 
 
 def is_irreducible(p: BitPoly) -> bool:
@@ -620,15 +585,13 @@ def _has_factor_up_to_prefilter_degree(f: int, lam: int) -> bool:
     degree at most D divides it, and each irreducible factor of the gcd
     has degree dividing some k <= D < lam.
     """
-    rest = _fold_exponents(f, lam)
+    rest = _fold_exponents(_exponents_desc(f ^ (1 << lam)))
     first = _PREFILTER_DEGREE // 2 + 1
-    b = _frobenius(2, first, f, lam, rest)
+    b = _square_mod(2, first, f, lam, rest)
     prod = b ^ 2
     for _ in range(first + 1, _PREFILTER_DEGREE + 1):
-        b = _frobenius(b, 1, f, lam, rest)
-        prod = _comb_int(prod, b ^ 2)
-        prod = (_polymod_int(prod, f) if rest is None
-                else _fold_reduce_int(prod, 2 * lam - 1, lam, rest))
+        b = _square_mod(b, 1, f, lam, rest)
+        prod = _square_mod(_comb_int(prod, b ^ 2), 0, f, lam, rest)
     return _polygcd_int(f, prod) != 1
 
 

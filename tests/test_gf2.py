@@ -274,6 +274,12 @@ def test_reduce_cost_frozen(lam, width, xors):
     assert reduce_cost(width, spec) == OpCount(0, xors)
 
 
+def test_reduce_cost_over_many_fold_rounds():
+    # weight - 1 XORs per excess bit, the excess shrinking by one a round
+    assert reduce_cost(200, ALL_ONE_100) == OpCount(0, 505000)
+    assert reduce_cost(254, TOP_HEAVY_127) == OpCount(0, 16256)
+
+
 def test_reduce_cost_rejects_overwide_input():
     with pytest.raises(PreconditionError):
         reduce_cost(17, AES_SPEC)
@@ -290,9 +296,21 @@ def test_reduce_mod_exhaustive_small():
             assert got.nbits == 4
 
 
-@pytest.mark.parametrize("lam", [8, 64, 127])
-def test_reduce_mod_matches_long_division(lam):
-    spec = find_irreducible(lam)
+# Dense and top-heavy moduli: 1 + x + ... + x^100 (reduced by division)
+# and x^127 + x^126 + 1, whose folds clear one bit a round
+ALL_ONE_100 = FieldSpec.from_modulus(BitPoly((1 << 101) - 1, 101))
+TOP_HEAVY_127 = FieldSpec.from_modulus(
+    BitPoly((1 << 127) | (1 << 126) | 1, 128))
+
+
+@pytest.mark.parametrize("spec", [
+    *(pytest.param(find_irreducible(lam), id=str(lam))
+      for lam in (8, 64, 127)),
+    pytest.param(ALL_ONE_100, id="all-one-100"),
+    pytest.param(TOP_HEAVY_127, id="x127+x126+1"),
+])
+def test_reduce_mod_matches_long_division(spec):
+    lam = spec.lam
     rng = random.Random(lam)
     for _ in range(200):
         width = rng.randint(lam, 2 * lam)
@@ -501,7 +519,7 @@ def test_rabin_dense_fallback_agrees_with_trial_division():
         f = (1 << (d + 1)) - 1
         for e in rng.sample(range(1, d), rng.randint(0, 3)):
             f ^= 1 << e
-        assert gf2._fold_exponents(f, d) is None
+        assert gf2._fold_exponents(gf2._exponents_desc(f ^ (1 << d))) is None
         want = irreducible_by_trial_division(f)
         assert gf2._is_irreducible_frobenius(f, d) == want, hex(f)
         seen.add(want)
@@ -591,12 +609,18 @@ def test_top_heavy_trinomial_is_tested_through_its_reciprocal(monkeypatch):
                                    257, 4171, 32768])
 def test_square_matches_shift_and_xor(width):
     # the nibble tables spread each byte into two; check every byte
-    # boundary and both nibbles against the plain product v * v
+    # boundary and both nibbles against the plain product v * v, modulo an
+    # f of degree 2*width + 1 that leaves the square unreduced, once
+    # folding through f's low terms and once dividing f out
+    lam = 2 * width + 1
+    f = (1 << lam) | 0b11
     rng = random.Random(width)
     values = [0, 1, (1 << width) - 1, 1 << (width - 1)]
     values += [rng.getrandbits(width) for _ in range(20)]
     for v in values:
-        assert gf2._square_int(v) == gf2._mul_int(v, v), (width, hex(v))
+        want = gf2._mul_int(v, v)
+        for rest in (gf2._fold_exponents((1, 0)), None):
+            assert gf2._square_mod(v, 1, f, lam, rest) == want, (width, hex(v))
 
 
 def test_sieve_tables_are_read_only():
