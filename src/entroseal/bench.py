@@ -7,11 +7,14 @@ GF(2^2n) quantum). Halving the field size is what makes the affine map
 roughly a factor two cheaper in AND gates at matched security sizing.
 The backend picks the gate-count model only; timings always measure the
 library's single evaluation kernel.
+
+Each result is one plain dict, the row that ``entroseal bench --format
+json`` prints: count_record fills in the counts, time_expansion the
+timings, and emit_table adds the two ratios and renders the text table.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import statistics
 import time
@@ -23,7 +26,6 @@ from .rng import RandomSource
 
 __all__ = [
     "Method",
-    "BenchRecord",
     "baseline",
     "count_expansion",
     "count_record",
@@ -54,79 +56,49 @@ def baseline(mode: Mode) -> Method:
     return next(m for m, applies in _BASELINE_MODE.items() if applies is mode)
 
 
-def count_expansion(method: Method, params: ExpansionParams,
-                    backend: Backend) -> OpCount:
-    """Exact AND/XOR gates for one expansion under the given backend.
-
-    Counts are data-independent: every shipped kernel is oblivious, so a
-    single analytic evaluation covers all inputs. The affine method pays
-    one lambda-wide field multiplication plus tail_len XORs for adding v;
-    the baselines pay one full-width field multiplication.
-    """
+def _width(method: Method, params: ExpansionParams) -> int:
+    """The field width method multiplies in: lambda for the affine map,
+    out_len for a baseline, which must apply to params' mode."""
     if method is Method.AFFINE:
-        if params.tail_len == 0:
-            return OpCount(0, 0)
-        spec = find_irreducible(params.lam)
-        cost = clmul_cost(params.lam, params.lam, backend)
-        cost += reduce_cost(2 * params.lam, spec)
-        return cost + OpCount(0, params.tail_len)
+        return params.lam
     mode = _BASELINE_MODE.get(method)
     if mode is None:
         raise PreconditionError(f"unknown method {method!r}")
     if params.mode is not mode:
         raise PreconditionError(f"{method.value} applies to {mode.value} mode")
-    width = params.out_len
-    spec = find_irreducible(width)
-    return clmul_cost(width, width, backend) + reduce_cost(2 * width, spec)
+    return params.out_len
 
 
-@dataclasses.dataclass(frozen=True)
-class BenchRecord:
-    """One (method, backend, sizes) measurement.
+def count_expansion(method: Method, params: ExpansionParams,
+                    backend: Backend) -> OpCount:
+    """Exact AND/XOR gates for one expansion under the given backend.
 
-    cost is exact and identical across repetitions; wall_ns fields are
-    None for counting-only records.
+    Counts are data-independent: every shipped kernel is oblivious, so a
+    single analytic evaluation covers all inputs. Each method pays one
+    field multiplication at its width; the affine method also pays
+    tail_len XORs for adding v, and nothing at all for a full-length key.
     """
-
-    method: Method
-    backend: Backend
-    mode: Mode
-    n: int
-    ell: int
-    lam: int
-    cost: OpCount
-    wall_ns_median: float | None = None
-    wall_ns_iqr: float | None = None
-    reps: int = 0
-    env: str = ""
-    warn_timer: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method.value,
-            "backend": self.backend.value,
-            "mode": self.mode.value,
-            "n": self.n,
-            "ell": self.ell,
-            "lam": self.lam,
-            "ands": self.cost.ands,
-            "xors": self.cost.xors,
-            "wall_ns_median": self.wall_ns_median,
-            "wall_ns_iqr": self.wall_ns_iqr,
-            "reps": self.reps,
-            "env": self.env,
-            "warn_timer": self.warn_timer,
-        }
+    width = _width(method, params)
+    if method is Method.AFFINE and params.tail_len == 0:
+        return OpCount(0, 0)
+    cost = clmul_cost(width, width, backend)
+    cost += reduce_cost(2 * width, find_irreducible(width))
+    if method is Method.AFFINE:
+        cost += OpCount(0, params.tail_len)
+    return cost
 
 
 def count_record(method: Method, params: ExpansionParams,
-                 backend: Backend) -> BenchRecord:
-    """Counting-only record; lam is the field width the method multiplies in."""
-    width = params.lam if method is Method.AFFINE else params.out_len
-    return BenchRecord(
-        method=method, backend=backend, mode=params.mode, n=params.n,
-        ell=params.ell, lam=width,
-        cost=count_expansion(method, params, backend))
+                 backend: Backend) -> dict:
+    """Counts-only bench row; lam is the width the method multiplies in."""
+    cost = count_expansion(method, params, backend)
+    return {
+        "method": method.value, "backend": backend.value,
+        "mode": params.mode.value, "n": params.n, "ell": params.ell,
+        "lam": _width(method, params), "ands": cost.ands, "xors": cost.xors,
+        "wall_ns_median": None, "wall_ns_iqr": None, "reps": 0, "env": "",
+        "warn_timer": False,
+    }
 
 
 def _cpu_model() -> str:
@@ -152,18 +124,18 @@ def _make_runner(method: Method, params: ExpansionParams, rng: RandomSource):
 
 
 def time_expansion(method: Method, params: ExpansionParams, backend: Backend,
-                   reps: int = 31, rng: RandomSource | None = None) -> BenchRecord:
+                   reps: int = 31, rng: RandomSource | None = None) -> dict:
     """Median wall time over reps runs, warmup excluded, fresh inputs per rep.
 
-    Input generation happens outside the timed region. The record is
-    count_record's with the timings added, so the backend picks its cost
-    model only. It carries the CPU model string; warn_timer is set when
-    the median is within two orders of magnitude of the clock resolution
-    and should be mistrusted.
+    Input generation happens outside the timed region. The row is
+    count_record's with its timing keys filled in, so the backend picks
+    its cost model only. env is the CPU model string; warn_timer is set
+    when the median is within two orders of magnitude of the clock
+    resolution and should be mistrusted.
     """
     if reps < 31:
         raise PreconditionError(f"need reps >= 31 for stable medians, got {reps}")
-    counted = count_record(method, params, backend)
+    row = count_record(method, params, backend)
     if rng is None:
         rng = RandomSource(0)
     runners = [_make_runner(method, params, rng)
@@ -177,78 +149,58 @@ def time_expansion(method: Method, params: ExpansionParams, backend: Backend,
         times.append(time.perf_counter_ns() - t0)
     median = float(statistics.median(times))
     quartiles = statistics.quantiles(times, n=4)
-    iqr = float(quartiles[2] - quartiles[0])
     resolution_ns = time.get_clock_info("perf_counter").resolution * 1e9
-    return dataclasses.replace(
-        counted, wall_ns_median=median, wall_ns_iqr=iqr, reps=reps,
-        env=_cpu_model(), warn_timer=median < 100.0 * resolution_ns)
+    row.update(wall_ns_median=median,
+               wall_ns_iqr=float(quartiles[2] - quartiles[0]), reps=reps,
+               env=_cpu_model(), warn_timer=median < 100.0 * resolution_ns)
+    return row
 
 
-_COLUMNS = ("method", "backend", "mode", "n", "ell", "lam",
-            "ands", "xors", "median_us", "iqr_us", "and_ratio", "time_ratio")
+# Text column -> (row key, divisor for a float value).
+_COLUMNS = {
+    "method": ("method", 1), "backend": ("backend", 1), "mode": ("mode", 1),
+    "n": ("n", 1), "ell": ("ell", 1), "lam": ("lam", 1),
+    "ands": ("ands", 1), "xors": ("xors", 1),
+    "median_us": ("wall_ns_median", 1000.0),
+    "iqr_us": ("wall_ns_iqr", 1000.0),
+    "and_ratio": ("and_ratio", 1), "time_ratio": ("time_ratio", 1),
+}
 
 
-def _sig3(x: float) -> str:
-    return f"{x:.3g}"
+def _cell(value, scale) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value / scale:.3g}"
+    return str(value)
 
 
-def emit_table(records: list[BenchRecord]) -> tuple[str, list[dict]]:
-    """Deterministic text table plus a machine-readable twin.
+def emit_table(rows: list[dict]) -> tuple[str, list[dict]]:
+    """Deterministic text table plus the rows with their ratios added.
 
-    Ratio columns compare each full-multiplication record against the
-    affine record with the same (mode, n, backend): ratios above 1 mean
-    the affine expansion is cheaper. Affine rows show 1 by definition;
-    rows with no matching affine record show '-'.
+    Ratio keys compare each full-multiplication row against the affine
+    row with the same (mode, n, backend): ratios above 1 mean the affine
+    expansion is cheaper. Affine rows show 1 by definition; rows with no
+    matching affine row show '-' (None in the returned rows).
     """
-    affine_by_key: dict[tuple, BenchRecord] = {}
-    for rec in records:
-        if rec.method is Method.AFFINE:
-            affine_by_key[(rec.mode, rec.n, rec.backend)] = rec
-
-    rows: list[dict] = []
-    for rec in records:
-        base = affine_by_key.get((rec.mode, rec.n, rec.backend))
-        and_ratio = None
-        time_ratio = None
-        if base is not None and base.cost.ands > 0:
-            and_ratio = rec.cost.ands / base.cost.ands
-        if (base is not None and rec.wall_ns_median is not None
-                and base.wall_ns_median):
-            time_ratio = rec.wall_ns_median / base.wall_ns_median
-        row = rec.to_dict()
-        row["and_ratio"] = and_ratio
-        row["time_ratio"] = time_ratio
-        rows.append(row)
-
-    widths = {c: len(c) for c in _COLUMNS}
-    cells_per_row = []
+    affine = {(r["mode"], r["n"], r["backend"]): r
+              for r in rows if r["method"] == Method.AFFINE.value}
+    out = []
     for row in rows:
-        cells = {
-            "method": row["method"],
-            "backend": row["backend"],
-            "mode": row["mode"],
-            "n": str(row["n"]),
-            "ell": str(row["ell"]),
-            "lam": str(row["lam"]),
-            "ands": str(row["ands"]),
-            "xors": str(row["xors"]),
-            "median_us": ("-" if row["wall_ns_median"] is None
-                          else _sig3(row["wall_ns_median"] / 1000.0)),
-            "iqr_us": ("-" if row["wall_ns_iqr"] is None
-                       else _sig3(row["wall_ns_iqr"] / 1000.0)),
-            "and_ratio": ("-" if row["and_ratio"] is None
-                          else _sig3(row["and_ratio"])),
-            "time_ratio": ("-" if row["time_ratio"] is None
-                           else _sig3(row["time_ratio"])),
-        }
-        cells_per_row.append(cells)
-        for c in _COLUMNS:
-            widths[c] = max(widths[c], len(cells[c]))
+        base = affine.get((row["mode"], row["n"], row["backend"]))
+        and_ratio = time_ratio = None
+        if base is not None and base["ands"] > 0:
+            and_ratio = row["ands"] / base["ands"]
+        if (base is not None and row["wall_ns_median"] is not None
+                and base["wall_ns_median"]):
+            time_ratio = row["wall_ns_median"] / base["wall_ns_median"]
+        out.append({**row, "and_ratio": and_ratio, "time_ratio": time_ratio})
 
-    header = "  ".join(c.ljust(widths[c]) for c in _COLUMNS).rstrip()
-    rule = "  ".join("-" * widths[c] for c in _COLUMNS).rstrip()
-    lines = [header, rule]
-    for cells in cells_per_row:
-        lines.append("  ".join(cells[c].ljust(widths[c])
-                               for c in _COLUMNS).rstrip())
-    return "\n".join(lines) + "\n", rows
+    grid = [list(_COLUMNS)] + [
+        [_cell(row[key], scale) for key, scale in _COLUMNS.values()]
+        for row in out]
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    grid.insert(1, ["-" * w for w in widths])
+    text = "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+                   + "\n" for line in grid)
+    return text, out

@@ -72,6 +72,18 @@ def _parse_epsilon(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _list_of(parse_item):
     """argparse type for a comma-separated list parsed item by item."""
     def parse(text: str) -> list:
@@ -421,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("gf2", "classical", "quantum"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--budget", type=int, default=0,
                    help="enumeration budget in weighted terms "
                         "(default: ENTROSEAL_BUDGET or 2^30)")

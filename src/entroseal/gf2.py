@@ -165,18 +165,6 @@ class Backend(enum.Enum):
     KARATSUBA = "karatsuba"
 
 
-def _mul_int(a: int, b: int) -> int:
-    """Carry-less product of two coefficient masks (shift-and-xor kernel)."""
-    if a.bit_length() < b.bit_length():
-        a, b = b, a
-    acc = 0
-    while b:
-        low = b & -b
-        acc ^= a << (low.bit_length() - 1)
-        b ^= low
-    return acc
-
-
 def _comb_int(a: int, b: int) -> int:
     """Carry-less product of two coefficient masks (8-bit windowed comb).
 

@@ -5,11 +5,14 @@ gate at a time into explicit wire slots, so the returned counts are the
 ground truth the fast kernels and analytic recurrences in
 :mod:`entroseal.gf2` must reproduce. A write into an empty output slot is
 a wire, not a gate; only a write into an occupied slot costs an XOR.
+The one exception, :func:`clmul_shift_xor`, is an uncounted product for
+checking values at widths where the bit-serial kernels are too slow.
 """
 
 from __future__ import annotations
 
 __all__ = [
+    "clmul_shift_xor",
     "clmul_schoolbook_counted",
     "clmul_karatsuba_counted",
     "polydivmod",
@@ -39,6 +42,18 @@ class _Wires:
             if b:
                 v |= 1 << i
         return v
+
+
+def clmul_shift_xor(a: int, b: int) -> int:
+    """Carry-less product of two coefficient masks (shift-and-xor kernel)."""
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    acc = 0
+    while b:
+        low = b & -b
+        acc ^= a << (low.bit_length() - 1)
+        b ^= low
+    return acc
 
 
 def clmul_schoolbook_counted(a: int, na: int, b: int, nb: int) -> tuple[int, int, int]:

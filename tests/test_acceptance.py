@@ -17,9 +17,9 @@ from entroseal.bench import Method, count_expansion, time_expansion
 from entroseal.cipher import (Ciphertext, decrypt, deserialize, encrypt,
                               encrypt_with, gen, serialize)
 from entroseal.errors import FormatError, WireErrorCode
-from entroseal.gf2 import (Backend, BitPoly, _mul_int, clmul, find_irreducible,
-                          gf_mul, reduce_mod)
-from entroseal.gf2ref import reduce_by_division
+from entroseal.gf2 import (Backend, BitPoly, clmul, find_irreducible, gf_mul,
+                          reduce_mod)
+from entroseal.gf2ref import clmul_shift_xor, reduce_by_division
 from entroseal.keyexpand import ExpansionParams
 from entroseal.qlab import (check_full_randomization,
                             check_pair_moment_identity,
@@ -288,7 +288,7 @@ def test_criterion_08_cost_factor_two():
                           reps=31, rng=RandomSource(81))
     base = time_expansion(Method.FULLMUL_QUANTUM, params, Backend.KARATSUBA,
                           reps=31, rng=RandomSource(82))
-    wall_ratio = base.wall_ns_median / ours.wall_ns_median
+    wall_ratio = base["wall_ns_median"] / ours["wall_ns_median"]
     subchecks.append(("karatsuba 2n=2^15 wall-clock ratio", wall_ratio,
                       wall_ratio >= 1.5))
     for name, ratio, ok in subchecks:
@@ -351,7 +351,8 @@ def test_criterion_09_field_arithmetic_oracles():
             b = BitPoly(rng.getrandbits(lam), lam)
             c = BitPoly(rng.getrandbits(lam), lam)
             randomized += 1
-            if clmul(a, b) != BitPoly(_mul_int(a.value, b.value), 2 * lam):
+            want = clmul_shift_xor(a.value, b.value)
+            if clmul(a, b) != BitPoly(want, 2 * lam):
                 bad += 1
             ab = gf_mul(a, b, spec)
             if ab != gf_mul(b, a, spec):

@@ -3,7 +3,9 @@ plumbing, and the deterministic report table."""
 
 import pytest
 
-from entroseal.bench import BenchRecord, Method, count_expansion, emit_table, time_expansion
+from entroseal.bench import (Method, count_expansion, count_record, emit_table,
+                             time_expansion)
+from entroseal.cli import main
 from entroseal.errors import PreconditionError
 from entroseal.gf2 import Backend, OpCount
 from entroseal.keyexpand import ExpansionParams, Mode
@@ -74,31 +76,27 @@ class TestTimeExpansion:
 
     def test_small_measurement_round_trip(self):
         params = ExpansionParams.classical(16, 9)
-        rec = time_expansion(Method.AFFINE, params, Backend.KARATSUBA,
+        row = time_expansion(Method.AFFINE, params, Backend.KARATSUBA,
                              reps=31, rng=RandomSource(7))
-        assert rec.reps == 31
-        assert rec.wall_ns_median is not None and rec.wall_ns_median > 0
-        assert rec.wall_ns_iqr is not None and rec.wall_ns_iqr >= 0
-        assert rec.env
-        assert isinstance(rec.warn_timer, bool)
-        assert rec.cost == count_expansion(Method.AFFINE, params,
-                                           Backend.KARATSUBA)
-        assert (rec.n, rec.ell, rec.lam) == (16, 9, 9)
+        assert row["reps"] == 31
+        assert row["wall_ns_median"] is not None and row["wall_ns_median"] > 0
+        assert row["wall_ns_iqr"] is not None and row["wall_ns_iqr"] >= 0
+        assert row["env"]
+        assert isinstance(row["warn_timer"], bool)
+        cost = count_expansion(Method.AFFINE, params, Backend.KARATSUBA)
+        assert (row["ands"], row["xors"]) == (cost.ands, cost.xors)
+        assert (row["n"], row["ell"], row["lam"]) == (16, 9, 9)
 
     def test_fullmul_measurement(self):
         params = ExpansionParams.classical(16, 9)
-        rec = time_expansion(Method.FULLMUL_CLASSICAL, params,
+        row = time_expansion(Method.FULLMUL_CLASSICAL, params,
                              Backend.SCHOOLBOOK, reps=31)
-        assert rec.lam == 16
-        assert rec.mode is Mode.CLASSICAL
+        assert row["lam"] == 16
+        assert row["mode"] == Mode.CLASSICAL.value
 
     def test_record_to_dict_uses_plain_values(self):
         params = ExpansionParams.classical(8, 5)
-        rec = BenchRecord(method=Method.AFFINE, backend=Backend.SCHOOLBOOK,
-                          mode=Mode.CLASSICAL, n=8, ell=5, lam=5,
-                          cost=count_expansion(Method.AFFINE, params,
-                                               Backend.SCHOOLBOOK))
-        d = rec.to_dict()
+        d = count_record(Method.AFFINE, params, Backend.SCHOOLBOOK)
         assert d["method"] == "affine"
         assert d["backend"] == "schoolbook"
         assert d["mode"] == "classical"
@@ -116,17 +114,13 @@ EXPECTED_TABLE = "\n".join([
 
 def _paired_records():
     params = ExpansionParams.classical(64, 45)
-    affine = BenchRecord(
-        method=Method.AFFINE, backend=Backend.SCHOOLBOOK,
-        mode=Mode.CLASSICAL, n=64, ell=45, lam=45,
-        cost=count_expansion(Method.AFFINE, params, Backend.SCHOOLBOOK),
-        wall_ns_median=12345.0, wall_ns_iqr=678.0, reps=31, env="testcpu")
-    full = BenchRecord(
-        method=Method.FULLMUL_CLASSICAL, backend=Backend.SCHOOLBOOK,
-        mode=Mode.CLASSICAL, n=64, ell=45, lam=64,
-        cost=count_expansion(Method.FULLMUL_CLASSICAL, params,
-                             Backend.SCHOOLBOOK),
-        wall_ns_median=24690.0, wall_ns_iqr=1000.0, reps=31, env="testcpu")
+    affine = {**count_record(Method.AFFINE, params, Backend.SCHOOLBOOK),
+              "wall_ns_median": 12345.0, "wall_ns_iqr": 678.0, "reps": 31,
+              "env": "testcpu"}
+    full = {**count_record(Method.FULLMUL_CLASSICAL, params,
+                           Backend.SCHOOLBOOK),
+            "wall_ns_median": 24690.0, "wall_ns_iqr": 1000.0, "reps": 31,
+            "env": "testcpu"}
     return [affine, full]
 
 
@@ -163,11 +157,79 @@ class TestEmitTable:
 
     def test_count_only_records_render(self):
         params = ExpansionParams.classical(64, 45)
-        rec = BenchRecord(
-            method=Method.AFFINE, backend=Backend.KARATSUBA,
-            mode=Mode.CLASSICAL, n=64, ell=45, lam=45,
-            cost=count_expansion(Method.AFFINE, params, Backend.KARATSUBA))
+        rec = count_record(Method.AFFINE, params, Backend.KARATSUBA)
         text, rows = emit_table([rec])
         assert rows[0]["wall_ns_median"] is None
         body = text.splitlines()[2]
         assert "  -" in body
+
+
+# `entroseal bench` stdout, byte for byte: the counts-only default table
+# and one classical JSON run.
+EXPECTED_DEFAULT_COUNTS = "\n".join([
+    "method           backend     mode     n     ell   lam   ands     xors     median_us  iqr_us  and_ratio  time_ratio",
+    "---------------  ----------  -------  ----  ----  ----  -------  -------  ---------  ------  ---------  ----------",
+    "affine           schoolbook  quantum  64    77    77    5929     6159     -          -       1          -",
+    "fullmul-quantum  schoolbook  quantum  64    77    128   16384    16669    -          -       2.76       -",
+    "affine           karatsuba   quantum  64    77    77    1337     6827     -          -       1          -",
+    "fullmul-quantum  karatsuba   quantum  64    77    128   2187     12640    -          -       1.64       -",
+    "affine           schoolbook  quantum  256   269   269   72361    73171    -          -       1          -",
+    "fullmul-quantum  schoolbook  quantum  256   269   512   262144   263201   -          -       3.62       -",
+    "affine           karatsuba   quantum  256   269   269   8993     48543    -          -       1          -",
+    "fullmul-quantum  karatsuba   quantum  256   269   512   19683    116084   -          -       2.19       -",
+    "affine           schoolbook  quantum  1024  1037  1037  1075369  1078503  -          -       1          -",
+    "fullmul-quantum  schoolbook  quantum  1024  1037  2048  4194304  4198477  -          -       3.9        -",
+    "affine           karatsuba   quantum  1024  1037  1037  68777    390371   -          -       1          -",
+    "fullmul-quantum  karatsuba   quantum  1024  1037  2048  177147   1054768  -          -       2.58       -",
+]) + "\n"
+
+EXPECTED_CLASSICAL_JSON = """\
+[
+  {
+    "method": "affine",
+    "backend": "schoolbook",
+    "mode": "classical",
+    "n": 64,
+    "ell": 47,
+    "lam": 47,
+    "ands": 2209,
+    "xors": 2237,
+    "wall_ns_median": null,
+    "wall_ns_iqr": null,
+    "reps": 0,
+    "env": "",
+    "warn_timer": false,
+    "and_ratio": 1.0,
+    "time_ratio": null
+  },
+  {
+    "method": "fullmul-classical",
+    "backend": "schoolbook",
+    "mode": "classical",
+    "n": 64,
+    "ell": 47,
+    "lam": 64,
+    "ands": 4096,
+    "xors": 4241,
+    "wall_ns_median": null,
+    "wall_ns_iqr": null,
+    "reps": 0,
+    "env": "",
+    "warn_timer": false,
+    "and_ratio": 1.854232684472612,
+    "time_ratio": null
+  }
+]
+"""
+
+
+class TestBenchOutput:
+    def test_default_counts_text(self, capsys):
+        assert main(["bench", "--sizes", "64,256,1024"]) == 0
+        assert capsys.readouterr().out == EXPECTED_DEFAULT_COUNTS
+
+    def test_classical_counts_json(self, capsys):
+        assert main(["bench", "--sizes", "64", "--t", "32",
+                     "--epsilon", "2^-10", "--mode", "classical",
+                     "--backends", "schoolbook", "--format", "json"]) == 0
+        assert capsys.readouterr().out == EXPECTED_CLASSICAL_JSON

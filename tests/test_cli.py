@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import functools
 import json
 import os
 import subprocess
@@ -22,6 +23,15 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def gf2_suite_once():
+    """Run the `verify gf2` suite once per seed in this module: it takes
+    seconds, and its results are frozen Check records, safe to share."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_gf2_suite", functools.lru_cache(cli._gf2_suite))
+        yield
 
 
 class TestParams:
@@ -271,6 +281,17 @@ class TestVerify:
         assert rc == 2
         assert "ENTROSEAL_BUDGET" in err
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # numpy's default_rng rejects a negative seed with a ValueError,
+        # which used to escape as a traceback with exit 1
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "quantum", "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "argument --seed" in err
+        assert "Traceback" not in err
+
     def test_explicit_budget_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ENTROSEAL_BUDGET", "4")
         rc, _, err = run(capsys, [
@@ -280,7 +301,7 @@ class TestVerify:
 
 
 class TestVerifyJson:
-    def test_every_suite_emits_one_layout(self, capsys):
+    def test_every_suite_emits_one_layout(self, capsys, gf2_suite_once):
         counts = {}
         for suite in ("gf2", "classical", "quantum"):
             rc, out, _ = run(capsys, ["verify", suite, "--format", "json"])
@@ -324,7 +345,7 @@ def _classical_family(n, label):
 
 
 class TestVerifyGf2:
-    def test_gf2_suite_passes(self, capsys):
+    def test_gf2_suite_passes(self, capsys, gf2_suite_once):
         rc, out, err = run(capsys, ["verify", "gf2"])
         assert rc == 0
         assert "6/6 checks passed" in err

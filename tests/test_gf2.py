@@ -27,6 +27,7 @@ from entroseal.gf2 import (
 from entroseal.gf2ref import (
     clmul_karatsuba_counted,
     clmul_schoolbook_counted,
+    clmul_shift_xor,
     irreducible_by_trial_division,
     polydivmod,
     reduce_by_division,
@@ -501,7 +502,7 @@ def test_small_factor_sieve_matches_trial_division():
         # products whose only small factor has the sieve's top degree, 12
         h = find_irreducible(lam - 12).modulus.value
         top = [g for g in small if g.bit_length() == 13]
-        candidates += [gf2._mul_int(g, h) for g in rng.sample(top, 3)]
+        candidates += [clmul_shift_xor(g, h) for g in rng.sample(top, 3)]
         seen = set()
         for f in candidates:
             want = any(polydivmod(f, g)[1] == 0 for g in small)
@@ -535,7 +536,7 @@ def test_prefilter_rejects_a_planted_factor(lam):
         g = find_irreducible(d).modulus.value
         for h in (find_irreducible(lam - d).modulus.value,
                   (1 << (lam - d)) | rng.getrandbits(lam - d) | 1):
-            f = gf2._mul_int(g, h)
+            f = clmul_shift_xor(g, h)
             assert gf2._has_factor_up_to_prefilter_degree(f, lam), (lam, d)
             assert polydivmod(f, g)[1] == 0
 
@@ -554,8 +555,8 @@ def test_products_of_factors_above_d_reach_rabin_and_fail():
     top = gf2._PREFILTER_DEGREE
     pairs = ((top + 1, top + 1), (top + 1, top + 7), (top + 13, 2 * top))
     for d1, d2 in pairs:
-        f = gf2._mul_int(find_irreducible(d1).modulus.value,
-                         find_irreducible(d2).modulus.value)
+        f = clmul_shift_xor(find_irreducible(d1).modulus.value,
+                            find_irreducible(d2).modulus.value)
         assert not gf2._has_factor_up_to_prefilter_degree(f, d1 + d2)
         assert not gf2._is_irreducible_frobenius(f, d1 + d2)
 
@@ -618,7 +619,7 @@ def test_square_matches_shift_and_xor(width):
     values = [0, 1, (1 << width) - 1, 1 << (width - 1)]
     values += [rng.getrandbits(width) for _ in range(20)]
     for v in values:
-        want = gf2._mul_int(v, v)
+        want = clmul_shift_xor(v, v)
         for rest in (gf2._fold_exponents((1, 0)), None):
             assert gf2._square_mod(v, 1, f, lam, rest) == want, (width, hex(v))
 
