@@ -269,9 +269,24 @@ def _gf2_suite(seed: int) -> list[Check]:
                 rv, rands, rxors = gf2ref.clmul_karatsuba_counted(
                     a.value, b.value, max(na, nb))
                 ok &= rv == p and (ck.ands, ck.xors) == (rands, rxors)
+    # Values only past the kernel's Karatsuba leaf width, where the counted
+    # references are too slow: one product that splits, and a wide operand
+    # against one narrow enough for 4-bit windows over several blocks.
+    # Their own stream keeps the draws of the others.
+    leaf = gf2._KARATSUBA_LEAF_BITS
+    wide_pairs = ((leaf + 3, leaf + 3), (2 * leaf + 9, 301))
+    wide_rng = random.Random(f"wide-{seed}")
+    for na, nb in wide_pairs:
+        for _ in range(3):
+            a, b = wide_rng.getrandbits(na), wide_rng.getrandbits(nb)
+            p = clmul(BitPoly(a, na), BitPoly(b, nb)).value
+            ok &= p == gf2ref.clmul_shift_xor(a, b)
     out.append(Check("backend-equivalence",
                      {"pairs": ",".join(f"{na}x{nb}" for na, nb in pairs),
-                      "draws": 200}, ok))
+                      "draws": 200,
+                      "value_pairs": ",".join(f"{na}x{nb}"
+                                              for na, nb in wide_pairs),
+                      "value_draws": 3}, ok))
 
     ok = True
     for lam in (8, 127, 243):

@@ -4,12 +4,14 @@ A polynomial a(x) = sum a_i x^i with a_i in {0,1} is stored as a Python
 integer whose bit i is the coefficient a_i, together with an explicit
 bit-length so that fixed-width strings and polynomials share one type.
 Computing and counting are separate: :func:`clmul`, :func:`reduce_mod`
-and :func:`gf_mul` return only the exact product, evaluated by one 8-bit
-windowed comb, while :func:`clmul_cost` and :func:`reduce_cost` count the
-two-input AND and XOR gates a hardware realization of the chosen
-:class:`Backend` would use (Karatsuba is a count model only). The
-counting rules are mirrored bit-serially in :mod:`entroseal.gf2ref` and
-the two are tested against each other.
+and :func:`gf_mul` return only the exact product, while :func:`clmul_cost`
+and :func:`reduce_cost` count the two-input AND and XOR gates a hardware
+realization of the chosen :class:`Backend` would use. Every product is
+evaluated by one kernel: wide products split Karatsuba-style down to a
+leaf width, and each leaf is a windowed comb (Horner's rule over a table
+of multiples of the wider operand); ``Backend`` is still only the count
+model. The counting rules are mirrored bit-serially in
+:mod:`entroseal.gf2ref` and the two are tested against each other.
 
 One loop, :func:`_square_mod`, computes every remainder and every square
 modulo f: :func:`reduce_mod`, Rabin's walk and the pre-filter's product
@@ -165,22 +167,77 @@ class Backend(enum.Enum):
     KARATSUBA = "karatsuba"
 
 
-def _comb_int(a: int, b: int) -> int:
-    """Carry-less product of two coefficient masks (8-bit windowed comb).
+# The carry-less kernel's three constants, each picked by an interleaved
+# timing sweep: products of two equal widths above _KARATSUBA_LEAF_BITS
+# are split Karatsuba-style (see _comb_int for unequal widths); a comb
+# leaf uses 4-bit windows up to _NIBBLE_WINDOW_BITS (its 16-entry table
+# is cheaper to build than 256 entries, which only pay off over many
+# bytes) and 8-bit windows above; and it runs Horner's rule over blocks
+# of _COMB_BLOCK windows, so that each step shifts a value about as wide
+# as the wider operand rather than the whole product.
+_KARATSUBA_LEAF_BITS = 6144
+_NIBBLE_WINDOW_BITS = 896
+_COMB_BLOCK = 64
 
-    With a the wider operand, tabulates a*w for every byte w, one XOR per
-    entry, then adds one shifted entry per nonzero byte of b.
+_LOW_NIBBLE = bytes(w & 15 for w in range(256))
+_HIGH_NIBBLE = bytes(w >> 4 for w in range(256))
+
+
+def _comb_int(a: int, b: int) -> int:
+    """Carry-less product of two coefficient masks.
+
+    With a the wider operand, of width na, and b of width nb: while
+    2 nb > na + leaf width, splits both at m = ceil(na/2), a = a1 x^m + a0
+    and b = b1 x^m + b0, and recurses into three half products
+    (Karatsuba): a b = a1 b1 x^2m + ((a0 + a1)(b0 + b1) + a0 b0 + a1 b1)
+    x^m + a0 b0. Other products go to the windowed comb,
+    :func:`_comb_leaf`: at equal widths, those up to the leaf width; at
+    unequal ones also those where b1 would be at most about half a leaf
+    wide, such as a key of half the width (there the split's two half
+    products cost as much as one comb over a's full width, or more).
+    Every branch depends on the operands' bit lengths only.
     """
     if a.bit_length() < b.bit_length():
         a, b = b, a
+    if 2 * b.bit_length() <= a.bit_length() + _KARATSUBA_LEAF_BITS:
+        return _comb_leaf(a, b)
+    m = (a.bit_length() + 1) // 2
+    mask = (1 << m) - 1
+    a0, a1 = a & mask, a >> m
+    b0, b1 = b & mask, b >> m
+    lo = _comb_int(a0, b0)
+    hi = _comb_int(a1, b1)
+    mid = _comb_int(a0 ^ a1, b0 ^ b1) ^ lo ^ hi
+    return lo ^ (mid << m) ^ (hi << (2 * m))
+
+
+def _comb_leaf(a: int, b: int) -> int:
+    """Carry-less product of a by a no wider b (windowed comb).
+
+    Tabulates a*w for every k-bit window w, one XOR per entry, with k = 4
+    or 8 by the width of b. Then walks every window of b, top first, in
+    blocks: within a block, part = part x^k + a*w (Horner's rule), and
+    each finished block is added into the product once, shifted into
+    place. No window is skipped, whatever its value.
+    """
+    nb = b.bit_length()
+    k = 8 if nb > _NIBBLE_WINDOW_BITS else 4
     table = [0]
-    for k in range(8):
-        ak = a << k
-        table += [t ^ ak for t in table]
+    for j in range(k):
+        aj = a << j
+        table += [t ^ aj for t in table]
+    windows = b.to_bytes((nb + 7) // 8, "little")
+    if k == 4:
+        nibbles = bytearray(2 * len(windows))
+        nibbles[0::2] = windows.translate(_LOW_NIBBLE)
+        nibbles[1::2] = windows.translate(_HIGH_NIBBLE)
+        windows = nibbles
     acc = 0
-    for i, w in enumerate(b.to_bytes((b.bit_length() + 7) // 8, "little")):
-        if w:
-            acc ^= table[w] << (8 * i)
+    for s in range(0, len(windows), _COMB_BLOCK):
+        part = 0
+        for w in reversed(windows[s:s + _COMB_BLOCK]):
+            part = (part << k) ^ table[w]
+        acc ^= part << (k * s)
     return acc
 
 
@@ -223,7 +280,8 @@ def clmul_cost(na: int, nb: int, backend: Backend = Backend.SCHOOLBOOK) -> OpCou
 def clmul(a: BitPoly, b: BitPoly) -> BitPoly:
     """Carry-less (polynomial) product, of width ``a.nbits + b.nbits``.
 
-    Evaluated by one 8-bit windowed comb; gate counts come from
+    Evaluated by :func:`_comb_int` (a Karatsuba split over windowed comb
+    leaves) in one call, whatever the width; gate counts come from
     :func:`clmul_cost`.
     """
     return BitPoly(_comb_int(a.value, b.value), a.nbits + b.nbits)

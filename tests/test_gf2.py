@@ -167,6 +167,79 @@ def test_clmul_comb_matches_schoolbook_at_byte_edges():
             assert prod == BitPoly(want, na + nb), (na, nb, hex(a), hex(b))
 
 
+LEAF = gf2._KARATSUBA_LEAF_BITS
+NIBBLE = gf2._NIBBLE_WINDOW_BITS
+
+# Widths at the kernel's switches, where the comb's window widens and where
+# products split once (just above the leaf) or twice (from 2*leaf + 1),
+# and the widths the scheme multiplies at.
+SPLIT_WIDTHS = (NIBBLE, NIBBLE + 1, LEAF - 1, LEAF, LEAF + 1,
+                2 * LEAF - 1, 2 * LEAF + 1, 16397, 32768)
+# Unequal widths split while 2*nb > na + LEAF, so the narrower operand's
+# top half b1 is never empty in a split; the shortest b1 that splits
+# (LEAF/2 bits, at the 2*LEAF + 1 rows) and the longest that does not
+# are both here.
+SPLIT_UNEQUAL = (
+    (32768, 16397),  # criterion 08's baseline: r times a half-width key
+    (2 * LEAF + 1, (3 * LEAF) // 2 + 1),  # splits at LEAF + 1, short b1
+    (2 * LEAF + 1, (3 * LEAF) // 2),  # one bit narrower: no split
+    (LEAF + 1, LEAF),  # no split
+    (3 * LEAF, 13),  # a narrow window over a wide table
+)
+
+
+@pytest.mark.parametrize("na,nb", [(w, w) for w in SPLIT_WIDTHS] + [
+    p for na, nb in SPLIT_UNEQUAL for p in ((na, nb), (nb, na))])
+def test_clmul_matches_shift_xor_across_the_karatsuba_split(na, nb):
+    # a narrower operand also meets its value resized to the wider width,
+    # as criterion 08 resizes its key; the value and product must not move
+    rng = random.Random(na * 65537 + nb)
+    for _ in range(2):
+        a = rng.getrandbits(na) | (1 << (na - 1))
+        b = rng.getrandbits(nb) | (1 << (nb - 1))
+        want = clmul_shift_xor(a, b)
+        assert clmul(BitPoly(a, na), BitPoly(b, nb)) == BitPoly(want, na + nb)
+        if nb < na:
+            wide_b = BitPoly(b, nb).resize(na)
+            assert clmul(BitPoly(a, na), wide_b) == BitPoly(want, 2 * na)
+
+
+@pytest.mark.parametrize("width", [NIBBLE + 1, LEAF + 1])
+def test_clmul_special_operands_above_each_switch(width):
+    rng = random.Random(width)
+    ops = _comb_operands(width, rng)
+    cases = [(a, ops[-1]) for a in ops] + [(ops[-1], b) for b in ops]
+    for a, b in cases:
+        prod = clmul(BitPoly(a, width), BitPoly(b, width))
+        assert prod == BitPoly(clmul_shift_xor(a, b), 2 * width), (hex(a), hex(b))
+
+
+def test_gf_mul_enters_clmul_once_at_the_widest_table_degree(monkeypatch):
+    # the Karatsuba recursion stays inside the int kernel, so a traced
+    # clmul sees exactly one call per field product
+    calls, kernel_calls = [], []
+    clmul_real, kernel_real = gf2.clmul, gf2._comb_int
+
+    def counted_clmul(a, b):
+        calls.append((a.nbits, b.nbits))
+        return clmul_real(a, b)
+
+    def counted_kernel(a, b):
+        kernel_calls.append(None)
+        return kernel_real(a, b)
+
+    monkeypatch.setattr(gf2, "clmul", counted_clmul)
+    monkeypatch.setattr(gf2, "_comb_int", counted_kernel)
+    spec = find_irreducible(32768)
+    rng = random.Random(32768)
+    a, b = (BitPoly(rng.getrandbits(32768), 32768) for _ in range(2))
+    prod = gf_mul(a, b, spec)
+    assert calls == [(32768, 32768)]
+    assert len(kernel_calls) > 1  # the product did split
+    want = BitPoly(clmul_shift_xor(a.value, b.value), 65536)
+    assert prod == reduce_mod(want, spec)
+
+
 def test_clmul_zero_width_operand():
     assert clmul(BitPoly(0, 0), BitPoly(0b11, 2)) == BitPoly(0, 2)
     assert clmul_cost(0, 2) == OpCount(0, 0)
