@@ -307,8 +307,23 @@ def _gf2_suite(seed: int) -> list[Check]:
         ok &= is_irreducible(BitPoly(got, lam + 1))
     out.append(Check("modulus-scan-vs-oracle", {"lam": "1..16"}, ok))
 
+    # Every trinomial Swan's rule drops from the scan is reducible.
+    ok = True
+    rejected = 0
+    for n in range(2, 21):
+        for k in range(1, n):
+            if gf2._swan_reducible(n, k):
+                rejected += 1
+                ok &= not gf2ref.irreducible_by_trial_division(
+                    (1 << n) | (1 << k) | 1)
+    out.append(Check("trinomial-parity-vs-division",
+                     {"n": "2..20", "k": "1..n-1", "rejected": rejected},
+                     ok and rejected > 0))
+
     # The scan's distinct-degree pre-filter must reject a planted factor
     # of degree 13 .. D above the sieve's reach, which division confirms.
+    # A product of the wrong degree is a failed draw: the pre-filter's
+    # fold would never end on it.
     ok = True
     top = gf2._PREFILTER_DEGREE
     for lam in (61, 130, 411):
@@ -318,6 +333,9 @@ def _gf2_suite(seed: int) -> list[Check]:
                          (1 << (lam - d)) | rng.getrandbits(lam - d) | 1)
             for h in cofactors:
                 f = clmul(BitPoly(g, d + 1), BitPoly(h, lam - d + 1)).value
+                if f.bit_length() != lam + 1:
+                    ok = False
+                    continue
                 ok &= gf2._has_factor_up_to_prefilter_degree(f, lam)
                 ok &= gf2ref.polydivmod(f, g)[1] == 0
     out.append(Check("early-abort-vs-division",

@@ -334,7 +334,7 @@ class TestVerifyJson:
                     want = statlab.check_derived_sizing(
                         c["n"], c["t"], c["epsilon"])
                 assert (value, bound) == (want.value, want.bound)
-        assert counts == {"gf2": 6, "classical": 108, "quantum": 72}
+        assert counts == {"gf2": 7, "classical": 108, "quantum": 72}
 
 
 def _classical_family(n, label):
@@ -348,10 +348,33 @@ class TestVerifyGf2:
     def test_gf2_suite_passes(self, capsys, gf2_suite_once):
         rc, out, err = run(capsys, ["verify", "gf2"])
         assert rc == 0
-        assert "6/6 checks passed" in err
+        assert "7/7 checks passed" in err
         names = [line.split()[1] for line in out.splitlines()]
         assert "modulus-scan-vs-oracle" in names
+        assert "trinomial-parity-vs-division" in names
         assert "early-abort-vs-division" in names
+
+    def test_wrong_kernel_fails_instead_of_hanging(self):
+        # A kernel whose products come out one degree too high: fed to the
+        # pre-filter, such a product would fold forever. In a fresh
+        # interpreter with a time limit, so that a hang fails the test.
+        script = """
+import sys
+from entroseal import cli, gf2
+cli.clmul = lambda a, b: gf2.BitPoly(gf2._comb_int(a.value, b.value) << 1,
+                                     a.nbits + b.nbits)
+sys.exit(cli.main(["verify", "gf2"]))
+"""
+        src = os.path.dirname(os.path.dirname(entroseal.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        verdicts = {name: verdict for verdict, name, *_ in
+                    map(str.split, proc.stdout.splitlines())}
+        assert verdicts["early-abort-vs-division"] == "FAIL"
+        assert verdicts["backend-equivalence"] == "FAIL"
+        assert verdicts["trinomial-parity-vs-division"] == "PASS"
 
 
 class TestBench:

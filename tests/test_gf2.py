@@ -706,12 +706,84 @@ def test_sieve_tables_are_read_only():
 
 
 def test_no_trinomials_at_degrees_divisible_by_eight():
-    # Swan's theorem; the scan relies on it to skip the trinomial pass
+    # Swan's theorem: each such trinomial is a square or has an even
+    # number of factors, so _swan_reducible drops all of them
     for lam in (8, 16, 64):
         assert find_irreducible(lam).weight == 5
         for m in range(1, lam):
             f = BitPoly((1 << lam) | (1 << m) | 1, lam + 1)
             assert not is_irreducible(f)
+
+
+def _trinomial(n, k):
+    return (1 << n) | (1 << k) | 1
+
+
+def test_swan_rejects_only_reducible_trinomials_up_to_degree_20():
+    # every trinomial, both directions, against trial division
+    rejected = 0
+    for n in range(2, 21):
+        for k in range(1, n):
+            if gf2._swan_reducible(n, k):
+                rejected += 1
+                assert not irreducible_by_trial_division(_trinomial(n, k)), \
+                    (n, k)
+    assert rejected > 90
+
+
+def test_swan_rejects_only_reducible_trinomials_from_degree_21_to_200():
+    rejected = 0
+    for n in range(21, 201):
+        for k in range(1, n):
+            if gf2._swan_reducible(n, k):
+                rejected += 1
+                assert not is_irreducible(BitPoly(_trinomial(n, k), n + 1)), \
+                    (n, k)
+    assert rejected > 12000
+
+
+# Irreducible trinomials x^n + x^k + 1 with n in every class mod 8 that
+# has them: the first one by ascending k at some degrees above 200, and
+# the primitive trinomials of Mersenne-prime degree from 127 to 4423.
+IRREDUCIBLE_TRINOMIALS = (
+    (201, 14), (202, 55), (204, 27), (207, 43), (238, 73), (253, 46),
+    (651, 14), (979, 178),
+    (127, 1), (521, 32), (607, 105), (1279, 216), (2281, 715), (3217, 67),
+    (4423, 271),
+)
+
+
+def test_swan_never_rejects_an_irreducible_trinomial():
+    for n, k in IRREDUCIBLE_TRINOMIALS:
+        assert is_irreducible(BitPoly(_trinomial(n, k), n + 1)), (n, k)
+        assert not gf2._swan_reducible(n, k), (n, k)
+        assert not gf2._swan_reducible(n, n - k), (n, n - k)
+    assert {n % 8 for n, _ in IRREDUCIBLE_TRINOMIALS} == {1, 2, 3, 4, 5, 6, 7}
+
+
+@pytest.mark.parametrize("lam", [603, 1002])
+def test_swan_rejected_trinomials_reach_no_later_test(monkeypatch, lam):
+    # counts work, not time: record every candidate the sieve, the
+    # pre-filter and Rabin's test see in one uncached scan
+    seen = []
+
+    def record(owner, name, at):
+        test = getattr(owner, name)
+
+        def wrapper(*args):
+            seen.append(args[at])
+            return test(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+    record(gf2._SmallFactorSieve, "has_small_factor", 1)  # (self, f)
+    record(gf2, "_has_factor_up_to_prefilter_degree", 0)
+    record(gf2, "_is_irreducible_frobenius", 0)
+    find_irreducible.__wrapped__(lam)
+    base = (1 << lam) | 1
+    trinomials = {f ^ base for f in seen if bin(f).count("1") == 3}
+    assert trinomials, "some trinomial must still reach the sieve"
+    for mid in trinomials:
+        k = mid.bit_length() - 1
+        assert not gf2._swan_reducible(lam, k), (lam, k)
 
 
 # ---------------------------------------------------------------------------

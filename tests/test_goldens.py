@@ -55,14 +55,23 @@ MODULI = {
     4096: (27, 15, 1, 0),
 }
 
-# One SHA-256 over the non-leading exponents of the scanned modulus at
-# every lambda in 1..160 and at four larger degrees, none a table entry.
-# The scan only ever skips reducible candidates early (the sieve, the
-# distinct-degree pre-filter from degree 512 up, the trinomial cut at
-# lambda/2), so no change to it may move a modulus.
+# SHA-256s over the non-leading exponents of scanned moduli, none a table
+# entry. The scan only ever skips reducible candidates early: trinomials
+# Swan's theorem proves reducible (from their exponents alone), the
+# small-factor sieve, the distinct-degree pre-filter from degree 512 up,
+# and the trinomial cut at lambda/2. So no change to it may move a
+# modulus. The first covers every lambda in 1..160 and four larger
+# degrees.
 SCANNED_LAMS = (*range(1, 161), 171, 315, 411, 603)
 SCANNED_MODULI_SHA256 = (
     "9bcbb791075bcf531c451e986b304005ea22e63dc729d0016be3266d67b90fa4")
+
+# The second covers the benchmark's cold degrees, 171 + 48 i for
+# i = 0..19 (all 3 mod 8), one even degree and one degree 1 mod 8 above
+# 512; it was recorded from a scan without Swan's rule.
+COLD_LAMS = (*range(171, 1084, 48), 1002, 1001)
+COLD_MODULI_SHA256 = (
+    "091ab1649c5c09a6e6728f2a439d2154384c408715c0a05f37aeb62e890ba955")
 
 
 def test_classical_ciphertext_golden():
@@ -90,10 +99,17 @@ def test_modulus_golden(lam):
     assert find_irreducible(lam).reduction_exponents == MODULI[lam]
 
 
+def _moduli_digest(lams):
+    exps = [find_irreducible(lam).reduction_exponents for lam in lams]
+    return hashlib.sha256(repr(exps).encode()).hexdigest()
+
+
 def test_scanned_moduli_golden():
-    exps = [find_irreducible(lam).reduction_exponents for lam in SCANNED_LAMS]
-    digest = hashlib.sha256(repr(exps).encode()).hexdigest()
-    assert digest == SCANNED_MODULI_SHA256
+    assert _moduli_digest(SCANNED_LAMS) == SCANNED_MODULI_SHA256
+
+
+def test_cold_lambda_moduli_golden():
+    assert _moduli_digest(COLD_LAMS) == COLD_MODULI_SHA256
 
 
 @pytest.mark.parametrize("mode,method,backend", sorted(
