@@ -88,9 +88,13 @@ def _list_of(parse_item):
     """argparse type for a comma-separated list parsed item by item."""
     def parse(text: str) -> list:
         try:
-            return [parse_item(s.strip()) for s in text.split(",") if s.strip()]
+            items = [parse_item(s.strip()) for s in text.split(",")
+                     if s.strip()]
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return items
     return parse
 
 
@@ -320,10 +324,10 @@ def _gf2_suite(seed: int) -> list[Check]:
                      {"n": "2..20", "k": "1..n-1", "rejected": rejected},
                      ok and rejected > 0))
 
-    # The scan's distinct-degree pre-filter must reject a planted factor
-    # of degree 13 .. D above the sieve's reach, which division confirms.
-    # A product of the wrong degree is a failed draw: the pre-filter's
-    # fold would never end on it.
+    # The Frobenius walk must reject a planted factor of degree 13 .. D,
+    # above the sieve's reach, at its step-D checkpoint; division confirms
+    # the factor. A product of the wrong degree is a failed draw: the
+    # walk's fold would never end on it.
     ok = True
     top = gf2._PREFILTER_DEGREE
     for lam in (61, 130, 411):
@@ -336,11 +340,11 @@ def _gf2_suite(seed: int) -> list[Check]:
                 if f.bit_length() != lam + 1:
                     ok = False
                     continue
-                ok &= gf2._has_factor_up_to_prefilter_degree(f, lam)
+                ok &= gf2._frobenius_walk(f, lam) == top
                 ok &= gf2ref.polydivmod(f, g)[1] == 0
     out.append(Check("early-abort-vs-division",
                      {"lam": "61,130,411", "deg_g": f"13,24,{top}",
-                      "cofactors": 2}, ok))
+                      "cofactors": 2, "reject_step": top}, ok))
     return out
 
 
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "on purpose: a default would fabricate security)")
     p.add_argument("--epsilon", type=_parse_epsilon, required=True)
     p.add_argument("--out", required=True, help="ciphertext output path")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_non_negative_int, default=None,
                    help="seed the (u,v) draw; testing only")
     p.set_defaults(func=cmd_encrypt)
 
@@ -467,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("gf2", "classical", "quantum"))
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--budget", type=int, default=0,
+    p.add_argument("--budget", type=_non_negative_int, default=0,
                    help="enumeration budget in weighted terms "
                         "(default: ENTROSEAL_BUDGET or 2^30)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -480,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_parse_epsilon, default=2.0 ** -5)
     p.add_argument("--mode", type=Mode, default=Mode.QUANTUM,
                    choices=list(Mode), metavar="{classical,quantum}")
-    p.add_argument("--methods", type=_list_of(_method), default="",
+    p.add_argument("--methods", type=_list_of(_method), default=None,
                    help="comma-separated subset of affine,"
                         "fullmul-classical,fullmul-quantum")
     p.add_argument("--backends", type=_list_of(Backend),
@@ -489,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "always measure the one evaluation kernel")
     p.add_argument("--reps", type=int, default=0,
                    help="timing repetitions (>= 31); 0 = counts only")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_bench)
     return parser

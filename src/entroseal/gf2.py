@@ -14,8 +14,8 @@ model. The counting rules are mirrored bit-serially in
 :mod:`entroseal.gf2ref` and the two are tested against each other.
 
 One loop, :func:`_square_mod`, computes every remainder and every square
-modulo f: :func:`reduce_mod`, Rabin's walk and the pre-filter's product
-all call it. It folds a sparse f through its non-leading terms until the
+modulo f: :func:`reduce_mod` and every step and product of the Frobenius
+walk call it. It folds a sparse f through its non-leading terms until the
 value fits and divides a dense one out; only :func:`reduce_cost` knows
 the fixed round structure of the counted network.
 
@@ -24,9 +24,11 @@ of precomputed moduli or else a scan, cached per degree by ``lru_cache``,
 with every modulus turned into a :class:`FieldSpec` by one constructor.
 The scan first drops the trinomials Swan's theorem proves reducible,
 from their exponents alone, then tests each candidate with a
-small-factor sieve, then (from degree 512) a distinct-degree pre-filter,
-then Rabin's test; the first three only skip reducible candidates early,
-so the modulus is Rabin's verdict alone. Only the standard library is
+small-factor sieve, then with one walk of the Frobenius map,
+:func:`_frobenius_walk`: Rabin's test, with a gcd at step 48 that
+rejects small factors early (from degree 49 up). The first two only skip
+reducible candidates, so the modulus is Rabin's verdict alone, and
+:func:`is_irreducible` takes the same walk. Only the standard library is
 used: squares are spread a byte at a time through ``bytes.translate`` tables into one reused
 buffer, and the sieve's tables are 16-bit ``array`` views.
 """
@@ -481,22 +483,43 @@ def _square_mod(b: int, steps: int, f: int, lam: int,
         b = int.from_bytes(out, "little")
 
 
-def _is_irreducible_frobenius(f: int, lam: int) -> bool:
-    """Rabin's test: x^(2^lam) = x mod f and gcd(x^(2^(lam/p)) - x, f) = 1.
+# The Frobenius walk's early checkpoint covers factors of degree up to
+# D = 48: fastest at lam = 603 and 4171 and within noise of the best at
+# 1083 in measured scans.
+_PREFILTER_DEGREE = 48
 
-    Walks the Frobenius map by repeated squaring, with a gcd checkpoint at
-    each maximal proper divisor lam/p. A non-squarefree f fails the final
-    equality or a checkpoint, so no separate squarefree pass is needed.
+
+def _frobenius_walk(f: int, lam: int) -> int:
+    """0 if f, of degree lam, is irreducible, else the step that proved
+    it reducible: D (``_PREFILTER_DEGREE``) at the early checkpoint, lam
+    at the end.
+
+    One walk computes b_k = x^(2^k) mod f for k up to lam and multiplies
+    b_k - x into one product mod f at Rabin's stops k = lam/p (p a prime
+    dividing lam) and, when lam > D, at every k in (D/2, D]. Rabin's test:
+    f is irreducible exactly when b_lam = x and the product is coprime to
+    f; a non-squarefree f fails one of the two. The checkpoint, a gcd at
+    k = D (Ben-Or), rejects any f with a factor of degree e <= D, since
+    that factor divides x^(2^k) - x at the multiple of e in (D/2, D]; an
+    irreducible f of degree lam > D has no such factor.
     """
     rest = _fold_exponents(_exponents_desc(f ^ (1 << lam)))
     x = _square_mod(2, 0, f, lam, rest)  # x, reduced (x + 1 at lam = 1)
-    b, done = x, 0
-    for k in sorted({lam // p for p in _prime_factors(lam)}):
+    top = _PREFILTER_DEGREE
+    stops = {lam // p for p in _prime_factors(lam)}
+    if lam > top:
+        stops.update(range(top // 2 + 1, top + 1))
+    b, done, prod = x, 0, 1
+    for k in sorted(stops):
         b = _square_mod(b, k - done, f, lam, rest)
         done = k
-        if _polygcd_int(b ^ x, f) != 1:
-            return False
-    return _square_mod(b, lam - done, f, lam, rest) == x
+        prod = _square_mod(_comb_int(prod, b ^ x), 0, f, lam, rest)
+        if k == top:  # a stop only when lam > D: Rabin's are all <= lam/2
+            if _polygcd_int(f, prod) != 1:
+                return top
+            prod = 1  # coprime so far: only later stops can share a factor
+    b = _square_mod(b, lam - done, f, lam, rest)
+    return 0 if b == x and _polygcd_int(f, prod) == 1 else lam
 
 
 def is_irreducible(p: BitPoly) -> bool:
@@ -515,7 +538,7 @@ def is_irreducible(p: BitPoly) -> bool:
     # x^d p(1/x), of degree d as p(0) = 1, is irreducible exactly when p is;
     # the smaller of the two has the lower second exponent.
     f = min(p.value, int(f"{p.value:b}"[::-1], 2))
-    return _is_irreducible_frobenius(f, d)
+    return _frobenius_walk(f, d) == 0
 
 
 class _SmallFactorSieve:
@@ -612,36 +635,6 @@ def find_irreducible(lam: int) -> FieldSpec:
     return FieldSpec._of_irreducible(BitPoly(modulus, lam + 1))
 
 
-# The scan's distinct-degree pre-filter looks for factors of degree up to
-# D = 48 and runs from degree 512 up. Both come from measured scans: D = 48
-# was fastest at lam = 603 and 4171 and within noise of the best at 1083,
-# and below lam of about 500 its 23 modular multiplies cost more than the
-# Rabin walks it saves (at lam = 171 it doubled the scan time).
-_PREFILTER_DEGREE = 48
-_PREFILTER_FROM_LAM = 512
-
-
-def _has_factor_up_to_prefilter_degree(f: int, lam: int) -> bool:
-    """Whether f, of degree lam > D, has an irreducible factor of degree at
-    most D (D = ``_PREFILTER_DEGREE``); False does not mean irreducible.
-
-    An irreducible of degree e divides x^(2^k) - x for every multiple k of
-    e, and every e <= D has a multiple in (D/2, D]. So this walks
-    b_k = x^(2^k) mod f up to k = D and multiplies b_k - x for D/2 < k <= D
-    into one product mod f, then takes one gcd with f: any factor of
-    degree at most D divides it, and each irreducible factor of the gcd
-    has degree dividing some k <= D < lam.
-    """
-    rest = _fold_exponents(_exponents_desc(f ^ (1 << lam)))
-    first = _PREFILTER_DEGREE // 2 + 1
-    b = _square_mod(2, first, f, lam, rest)
-    prod = b ^ 2
-    for _ in range(first + 1, _PREFILTER_DEGREE + 1):
-        b = _square_mod(b, 1, f, lam, rest)
-        prod = _square_mod(_comb_int(prod, b ^ 2), 0, f, lam, rest)
-    return _polygcd_int(f, prod) != 1
-
-
 def _swan_reducible(n: int, k: int) -> bool:
     """Whether Swan's theorem proves x^n + x^k + 1 (0 < k < n) reducible.
 
@@ -671,8 +664,8 @@ def _swan_reducible(n: int, k: int) -> bool:
 def _scan_for_irreducible(lam: int) -> int:
     """First irreducible of degree lam in find_irreducible's scan order.
 
-    Each candidate meets up to four tests, cheapest first, and the first
-    one to pass Rabin's test is returned. The earlier three only ever
+    Each candidate meets up to three tests, cheapest first, and the first
+    one the walk finds irreducible is returned. The first two only ever
     reject reducible candidates, so they change the running time, never
     the answer:
 
@@ -681,9 +674,9 @@ def _scan_for_irreducible(lam: int) -> int:
        degrees, nearly all at degrees 3 or 5 mod 8 and every one when 8
        divides lam);
     2. the small-factor sieve (no factor of degree <= 12);
-    3. from degree 512 up, the distinct-degree pre-filter (no factor of
-       degree <= D = 48);
-    4. Rabin's test, the only judge of irreducibility.
+    3. the Frobenius walk (:func:`_frobenius_walk`), Rabin's test and the
+       only judge of irreducibility; from degree D + 1 = 49 up it rejects
+       a candidate with a factor of degree <= D after D squares.
 
     Trinomials stop at m = lam/2: x^lam + x^m + 1 is irreducible exactly
     when its reciprocal x^lam + x^(lam-m) + 1 is, and that one came first.
@@ -698,16 +691,12 @@ def _scan_for_irreducible(lam: int) -> int:
     # No tri- or pentanomial (possible in principle); fall back to any mask.
     masks = range(base, 1 << (lam + 1), 2)
     # At lam <= 12 the sieve's tables would contain the candidate itself,
-    # so the same scan runs without it. The pre-filter would reject an
-    # irreducible candidate at lam <= D; it starts far above that.
+    # so the same scan runs without it.
     sieve = (_SmallFactorSieve(lam)
              if lam > _SmallFactorSieve.MAX_DEGREE else None)
-    prefilter = lam >= _PREFILTER_FROM_LAM
     for f in itertools.chain(trinomials, pentanomials, masks):
         if sieve is not None and sieve.has_small_factor(f):
             continue
-        if prefilter and _has_factor_up_to_prefilter_degree(f, lam):
-            continue
-        if _is_irreducible_frobenius(f, lam):
+        if _frobenius_walk(f, lam) == 0:
             return f
     raise PreconditionError(f"no irreducible of degree {lam} found")

@@ -292,6 +292,25 @@ class TestVerify:
         assert "argument --seed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["encrypt", "in", "--key", "k", "--t", "8", "--epsilon", "2^-4",
+          "--out", "out", "--seed", "-5"], "--seed"),
+        (["bench", "--sizes", "16", "--seed", "-5"], "--seed"),
+        (["verify", "classical", "--budget", "-5"], "--budget"),
+    ])
+    def test_negative_integer_flag_is_a_usage_error(self, capsys, argv,
+                                                    flag):
+        # RandomSource(-5) draws the same bits as RandomSource(5), so a
+        # negative seed silently aliased a positive one; a negative budget
+        # ran on to "configured budget is -5"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
     def test_explicit_budget_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ENTROSEAL_BUDGET", "4")
         rc, _, err = run(capsys, [
@@ -356,7 +375,7 @@ class TestVerifyGf2:
 
     def test_wrong_kernel_fails_instead_of_hanging(self):
         # A kernel whose products come out one degree too high: fed to the
-        # pre-filter, such a product would fold forever. In a fresh
+        # Frobenius walk, such a product would fold forever. In a fresh
         # interpreter with a time limit, so that a hang fails the test.
         script = """
 import sys
@@ -442,6 +461,18 @@ class TestBench:
     @pytest.mark.parametrize("flag,value", [
         ("--sizes", "x"), ("--methods", "bogus"), ("--backends", "bogus")])
     def test_bad_list_flag_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "16", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {flag}" in err
+
+    @pytest.mark.parametrize("flag", ["--sizes", "--methods", "--backends"])
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_list_flag_is_a_usage_error(self, capsys, flag, value):
+        # an empty --sizes or --backends used to print a header-only table
+        # and exit 0
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--sizes", "16", flag, value])
         assert exc.value.code == 2

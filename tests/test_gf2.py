@@ -531,7 +531,7 @@ def test_rabin_agrees_with_trial_division_from_degree_one():
     # odd mask up to degree 14 runs the fused square-and-fold walk.
     for f in range(3, 1 << 15, 2):
         want = irreducible_by_trial_division(f)
-        assert gf2._is_irreducible_frobenius(f, f.bit_length() - 1) == want
+        assert (gf2._frobenius_walk(f, f.bit_length() - 1) == 0) == want
     assert gf2._scan_for_irreducible(1) == 0b11
 
 
@@ -595,43 +595,88 @@ def test_rabin_dense_fallback_agrees_with_trial_division():
             f ^= 1 << e
         assert gf2._fold_exponents(gf2._exponents_desc(f ^ (1 << d))) is None
         want = irreducible_by_trial_division(f)
-        assert gf2._is_irreducible_frobenius(f, d) == want, hex(f)
+        assert (gf2._frobenius_walk(f, d) == 0) == want, hex(f)
         seen.add(want)
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("lam", [61, 130, 411])
-def test_prefilter_rejects_a_planted_factor(lam):
-    # a factor of degree 13 .. D, with an irreducible and a random cofactor;
+@pytest.fixture
+def squares(monkeypatch):
+    """A one-item list counting the squaring steps of every _square_mod
+    call from here on (a bare remainder counts none)."""
+    count = [0]
+    square_mod = gf2._square_mod
+
+    def counted(b, steps, *args):
+        count[0] += steps
+        return square_mod(b, steps, *args)
+    monkeypatch.setattr(gf2, "_square_mod", counted)
+    return count
+
+
+@pytest.mark.parametrize("lam", [61, 130, 411, 603])
+def test_prefilter_rejects_a_planted_factor(squares, lam):
+    # the pre-filter is the walk's checkpoint at step D: a factor of degree
+    # 13 .. D, with an irreducible and a random cofactor, costs D squares;
     # 13 and 24 lie at or below D/2, so only their multiples catch them
     rng = random.Random(lam)
-    for d in (13, 24, gf2._PREFILTER_DEGREE):
+    top = gf2._PREFILTER_DEGREE
+    for d in (13, 24, top):
         g = find_irreducible(d).modulus.value
         for h in (find_irreducible(lam - d).modulus.value,
                   (1 << (lam - d)) | rng.getrandbits(lam - d) | 1):
             f = clmul_shift_xor(g, h)
-            assert gf2._has_factor_up_to_prefilter_degree(f, lam), (lam, d)
             assert polydivmod(f, g)[1] == 0
+            squares[0] = 0
+            assert gf2._frobenius_walk(f, lam) == top, (lam, d)
+            assert squares[0] == top, (lam, d)
 
 
-@pytest.mark.parametrize("lam", [127, 603, 1037, 2123])
-def test_prefilter_passes_irreducible_moduli(lam):
-    # 127 and 603 are scanned, 1037 and 2123 served from the table; at
-    # lam <= D an irreducible f divides the product, so the scan must not
-    # run the pre-filter there
+# Every degree from D + 1 = 49 to 511 that the goldens pin (none is a
+# table degree), where the walk's checkpoint is new, and three above:
+# 603 is scanned, 1037 and 2123 served from the table.
+@pytest.mark.parametrize("lam", [*range(49, 161), *range(171, 512, 48),
+                                 603, 1037, 2123])
+def test_prefilter_passes_irreducible_moduli(squares, lam):
+    # an irreducible of degree lam > D has no factor of degree <= D, so
+    # the walk passes its checkpoint and ends: lam squares, verdict 0
     f = find_irreducible(lam).modulus.value
-    assert not gf2._has_factor_up_to_prefilter_degree(f, lam)
-    assert gf2._PREFILTER_FROM_LAM > gf2._PREFILTER_DEGREE
+    squares[0] = 0
+    assert gf2._frobenius_walk(f, lam) == 0
+    assert squares[0] == lam
+
+
+@pytest.mark.parametrize("lam", [603, 1083])
+def test_one_walk_decides_each_scan_candidate(monkeypatch, squares, lam):
+    # counts work, not time: each candidate the sieve passes is walked
+    # once, so it costs D squares (a small factor) or lam (Rabin's verdict),
+    # and the irreducible answer exactly lam; a separate small-factor walk
+    # before Rabin's test would add D to the latter
+    starts = []
+    has_small_factor = gf2._SmallFactorSieve.has_small_factor
+
+    def start(self, f):
+        starts.append((f, squares[0]))
+        return has_small_factor(self, f)
+    monkeypatch.setattr(gf2._SmallFactorSieve, "has_small_factor", start)
+    answer = find_irreducible.__wrapped__(lam).modulus.value
+    assert starts[-1][0] == answer
+    ends = [at for _, at in starts[1:]] + [squares[0]]
+    costs = [end - at for (_, at), end in zip(starts, ends)]
+    assert costs[-1] == lam
+    top = gf2._PREFILTER_DEGREE
+    assert set(costs) <= {0, top, lam}
+    assert top in costs  # the checkpoint rejected some candidate
 
 
 def test_products_of_factors_above_d_reach_rabin_and_fail():
+    # they pass the checkpoint, and Rabin's verdict at step lam rejects them
     top = gf2._PREFILTER_DEGREE
     pairs = ((top + 1, top + 1), (top + 1, top + 7), (top + 13, 2 * top))
     for d1, d2 in pairs:
         f = clmul_shift_xor(find_irreducible(d1).modulus.value,
                             find_irreducible(d2).modulus.value)
-        assert not gf2._has_factor_up_to_prefilter_degree(f, d1 + d2)
-        assert not gf2._is_irreducible_frobenius(f, d1 + d2)
+        assert gf2._frobenius_walk(f, d1 + d2) == d1 + d2
 
 
 def test_trinomial_and_its_reciprocal_agree():
@@ -640,8 +685,8 @@ def test_trinomial_and_its_reciprocal_agree():
         for m in range(1, lam):
             f = (1 << lam) | (1 << m) | 1
             r = (1 << lam) | (1 << (lam - m)) | 1
-            assert (gf2._is_irreducible_frobenius(f, lam)
-                    == gf2._is_irreducible_frobenius(r, lam)), (lam, m)
+            assert (gf2._frobenius_walk(f, lam) == 0) == \
+                (gf2._frobenius_walk(r, lam) == 0), (lam, m)
 
 
 def _reciprocal(f):
@@ -665,12 +710,12 @@ def test_top_heavy_trinomial_is_tested_through_its_reciprocal(monkeypatch):
     # x^1279 + x^1278 + 1 folds each square in about 1279 rounds; its
     # reciprocal x^1279 + x + 1 in one
     seen = []
-    walk = gf2._is_irreducible_frobenius
+    walk = gf2._frobenius_walk
 
     def record(f, lam):
         seen.append(f)
         return walk(f, lam)
-    monkeypatch.setattr(gf2, "_is_irreducible_frobenius", record)
+    monkeypatch.setattr(gf2, "_frobenius_walk", record)
     heavy = (1 << 1279) | (1 << 1278) | 1
     light = (1 << 1279) | (1 << 1) | 1
     assert _reciprocal(heavy) == light
@@ -763,8 +808,8 @@ def test_swan_never_rejects_an_irreducible_trinomial():
 
 @pytest.mark.parametrize("lam", [603, 1002])
 def test_swan_rejected_trinomials_reach_no_later_test(monkeypatch, lam):
-    # counts work, not time: record every candidate the sieve, the
-    # pre-filter and Rabin's test see in one uncached scan
+    # counts work, not time: record every candidate the sieve and the
+    # Frobenius walk see in one uncached scan
     seen = []
 
     def record(owner, name, at):
@@ -775,8 +820,7 @@ def test_swan_rejected_trinomials_reach_no_later_test(monkeypatch, lam):
             return test(*args)
         monkeypatch.setattr(owner, name, wrapper)
     record(gf2._SmallFactorSieve, "has_small_factor", 1)  # (self, f)
-    record(gf2, "_has_factor_up_to_prefilter_degree", 0)
-    record(gf2, "_is_irreducible_frobenius", 0)
+    record(gf2, "_frobenius_walk", 0)
     find_irreducible.__wrapped__(lam)
     base = (1 << lam) | 1
     trinomials = {f ^ base for f in seen if bin(f).count("1") == 3}
