@@ -8,9 +8,11 @@ the adversary's point of view. Under that hypothesis an ell-bit key with
     ell = ceil(n - t + 2*log2(1/eps) + 3)      (quantum pad keys)
 
 gives statistical distance at most eps from uniform (trace distance in
-the quantum case). The scheme itself is a one-time pad with the pad
-produced by :func:`entroseal.keyexpand.expand_affine`; (u, v) travel in
-the clear inside the ciphertext.
+the quantum case) for any eps in (0, 1], 2^-k up to k = 1074. The
+classical hypothesis t >= 2*log2(1/eps) - 5 is exactly ell <= n, the pad
+length; a quantum pad has 2n bits. The scheme itself is a one-time pad
+with the pad produced by :func:`entroseal.keyexpand.expand_affine`;
+(u, v) travel in the clear inside the ciphertext.
 """
 
 from __future__ import annotations
@@ -61,54 +63,49 @@ def _ceil_snapped(x: float) -> int:
     return math.ceil(x)
 
 
-def _check_inputs(n: int, t: float, epsilon: float) -> None:
+def _key_length(n: int, t: float, epsilon: float, mode: Mode,
+                slack: float) -> int:
+    """ceil(n - t + 2*log2(1/eps) + slack), checked to fit the pad."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if not math.isfinite(t):
         raise ParameterError(f"t must be finite, got {t}")
     if not (0.0 < epsilon <= 1.0):
         raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
+    if mode is Mode.QUANTUM and not -n <= t <= n:
+        raise ParameterError(
+            f"quantum mode requires -n <= t <= n, got t = {t:.6g}")
+    two_log = -2.0 * math.log2(epsilon)
+    ell = _ceil_snapped(n - t + two_log + slack)
+    if ell < 1:
+        raise ParameterError(
+            f"derived key length {ell} < 1; the requested (t, epsilon) "
+            f"already holds with a trivial key"
+        )
+    if mode is Mode.CLASSICAL and ell > n:
+        raise ParameterError(
+            f"classical mode requires t >= 2*log2(1/eps) - 5 = "
+            f"{two_log + slack:.6g}, got t = {t:.6g}"
+        )
+    if ell > 2 * n:
+        raise ParameterError(
+            f"derived key length {ell} exceeds the pad length {2 * n}; "
+            f"no key shorter than the pad achieves this (t, epsilon)"
+        )
+    return ell
 
 
 def derive_key_length(n: int, t: float, epsilon: float,
                       mode: Mode | str) -> int:
     """Shortest admissible key length for the target security level.
 
-    Classical mode additionally requires t >= 2*log2(1/eps) - 5, the
-    hypothesis under which the derivation is valid. The result must land
-    in [1, n] (classical) or [1, 2n] (quantum); anything else names the
-    violated bound. mode accepts the enum or its string value.
+    The result must land in [1, n] (classical) or [1, 2n] (quantum);
+    anything else names the violated bound. mode accepts the enum or its
+    string value.
     """
     mode = Mode.parse(mode)
-    _check_inputs(n, t, epsilon)
-    two_log = 2.0 * math.log2(1.0 / epsilon)
-    if mode is Mode.CLASSICAL:
-        floor_t = two_log - 5.0
-        if t < floor_t - _SNAP:
-            raise ParameterError(
-                f"classical mode requires t >= 2*log2(1/eps) - 5 = "
-                f"{floor_t:.6g}, got t = {t:.6g}"
-            )
-        ell = _ceil_snapped(n - t + two_log - 5.0)
-        cap = n
-    else:
-        if not -n <= t <= n:
-            raise ParameterError(
-                f"quantum mode requires -n <= t <= n, got t = {t:.6g}"
-            )
-        ell = _ceil_snapped(n - t + two_log + 3.0)
-        cap = 2 * n
-    if ell < 1:
-        raise ParameterError(
-            f"derived key length {ell} < 1; the requested (t, epsilon) "
-            f"already holds with a trivial key"
-        )
-    if ell > cap:
-        raise ParameterError(
-            f"derived key length {ell} exceeds the pad length {cap}; "
-            f"no key shorter than the pad achieves this (t, epsilon)"
-        )
-    return ell
+    return _key_length(n, t, epsilon, mode,
+                       -5.0 if mode is Mode.CLASSICAL else 3.0)
 
 
 def indistinguishability_key_length(n: int, t: float, epsilon: float) -> int:
@@ -119,15 +116,7 @@ def indistinguishability_key_length(n: int, t: float, epsilon: float) -> int:
     than the stronger semantic form; exposed for information only and
     not used by the scheme.
     """
-    _check_inputs(n, t, epsilon)
-    if not -n <= t <= n:
-        raise ParameterError(f"requires -n <= t <= n, got t = {t:.6g}")
-    ell = _ceil_snapped(n - t + 2.0 * math.log2(1.0 / epsilon))
-    if not 1 <= ell <= 2 * n:
-        raise ParameterError(
-            f"advisory key length {ell} outside [1, {2 * n}]"
-        )
-    return ell
+    return _key_length(n, t, epsilon, Mode.QUANTUM, 0.0)
 
 
 class SchemeParams(Record):

@@ -52,23 +52,27 @@ class ShortKeyError(EntrosealError):
 
 
 def _parse_epsilon(text: str) -> float:
-    """Accept plain floats and powers of two like 2^-40 or 2**-40."""
+    """Accept plain floats and powers of two like 2^-40 or 2**-40.
+
+    A positive spelling that underflows to 0.0 is refused: the smallest
+    float is 2^-1074.
+    """
     s = text.strip()
-    for sep in ("^", "**"):
-        if s.startswith("2" + sep):
-            try:
-                return 2.0 ** int(s[len(sep) + 1:])
-            except ValueError as exc:
-                raise argparse.ArgumentTypeError(
-                    f"bad exponent in {text!r}") from exc
-            except OverflowError as exc:
-                raise argparse.ArgumentTypeError(
-                    f"exponent too large in {text!r}") from exc
+    power = next((s[len(p):] for p in ("2^", "2**") if s.startswith(p)),
+                 None)
     try:
-        value = float(s)
+        value = float(s) if power is None else 2.0 ** int(power)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"epsilon must be a float or 2^-k, got {text!r}") from exc
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(
+            f"exponent too large in {text!r}") from exc
+    if value == 0.0:
+        from decimal import Decimal
+        if power is not None or Decimal(s) > 0:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} underflows to 0.0, below 2^-1074")
     return value
 
 
@@ -154,8 +158,11 @@ def cmd_params(args: argparse.Namespace) -> int:
         "out_len": exp.out_len,
     }
     if params.mode is Mode.QUANTUM:
-        out["indistinguishability_ell"] = indistinguishability_key_length(
-            params.n, params.t, params.epsilon)
+        try:
+            out["indistinguishability_ell"] = indistinguishability_key_length(
+                params.n, params.t, params.epsilon)
+        except ParameterError:  # it rounds below 1 bit; the strict ell holds
+            out["indistinguishability_ell"] = None
     if args.format == "json":
         import json
         print(json.dumps(out, indent=2))

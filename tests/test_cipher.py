@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroseal.cipher import (
     Ciphertext,
@@ -105,11 +107,39 @@ class TestDeriveKeyLength:
                 assert ell >= prev
             prev = ell
 
+    def test_epsilon_below_2_to_the_minus_1024(self):
+        # 1/eps overflows a float below 2^-1024; -log2(eps) stays finite
+        assert derive_key_length(2000, 1000, 2.0 ** -1074, "quantum") == 3151
+        assert indistinguishability_key_length(2000, 1000, 2.0 ** -1074) == 3148
+        assert SchemeParams.derive(2000, 1000, 2.0 ** -1074, "quantum").ell == 3151
+        # 2 log2(1e320) - 5 = 2121.3..., so t = 4000 clears the floor
+        assert derive_key_length(5000, 4000, 1e-320, "classical") == 3122
+        with pytest.raises(ParameterError, match="= 2143, got t = 1000"):
+            derive_key_length(5000, 1000, 2.0 ** -1074, "classical")
+
     def test_quantum_exceeds_advisory_by_three(self):
         for n, t, k in [(64, 0, 5), (64, 32, 8), (128, -16, 4), (32, 10, 3)]:
             strict = derive_key_length(n, t, 2.0 ** -k, Mode.QUANTUM)
             advisory = indistinguishability_key_length(n, t, 2.0 ** -k)
             assert strict == advisory + 3
+
+
+@given(n=st.integers(1, 10 ** 6), t=st.floats(), epsilon=st.floats(),
+       mode=st.sampled_from(list(Mode)))
+@settings(max_examples=300, deadline=None)
+def test_sizing_is_total(n, t, epsilon, mode):
+    """Any float t and epsilon give a key length in [1, pad] or a
+    ParameterError, never another exception."""
+    out_len = n if mode is Mode.CLASSICAL else 2 * n
+    sizings = [(lambda: derive_key_length(n, t, epsilon, mode), out_len),
+               (lambda: SchemeParams(n, t, epsilon, mode).ell, out_len),
+               (lambda: indistinguishability_key_length(n, t, epsilon), 2 * n)]
+    for sizing, pad in sizings:
+        try:
+            ell = sizing()
+        except ParameterError:
+            continue
+        assert type(ell) is int and 1 <= ell <= pad
 
 
 class TestSchemeParams:

@@ -58,6 +58,34 @@ class TestParams:
         assert got["indistinguishability_ell"] == 128
         assert got["out_len"] == 256
 
+    def test_epsilon_below_2_to_the_minus_1024(self, capsys):
+        # 1/eps overflowed a float here and escaped as an OverflowError
+        rc, out, _ = run(capsys, [
+            "params", "--n-bits", "2000", "--t", "1000", "--epsilon",
+            "2^-1074", "--mode", "quantum", "--format", "json"])
+        assert rc == 0
+        got = json.loads(out)
+        assert (got["ell"], got["indistinguishability_ell"]) == (3151, 3148)
+        rc, out, _ = run(capsys, [
+            "params", "--n-bits", "5000", "--t", "4000", "--epsilon",
+            "1e-320", "--format", "json"])
+        assert rc == 0
+        assert json.loads(out)["ell"] == 3122
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_advisory_below_one_bit_is_reported_as_none(self, capsys, fmt):
+        # strict ell = 4 - 4 + 0 + 3 = 3; the advisory would be 0
+        rc, out, err = run(capsys, [
+            "params", "--n-bits", "4", "--t", "4", "--epsilon", "1",
+            "--mode", "quantum", "--format", fmt])
+        assert rc == 0, err
+        if fmt == "json":
+            got = json.loads(out)
+            assert (got["ell"], got["indistinguishability_ell"]) == (3, None)
+        else:
+            assert "ell = 3" in out
+            assert "indistinguishability_ell = None" in out
+
     def test_text_format(self, capsys):
         rc, out, _ = run(capsys, [
             "params", "--n-bits", "16", "--t", "8", "--epsilon", "0.25"])
@@ -71,6 +99,24 @@ class TestParams:
         assert _parse_epsilon("0.125") == 0.125
         with pytest.raises(Exception):
             _parse_epsilon("two")
+
+    @pytest.mark.parametrize("value", ["2^-1075", "2**-1075", "1e-400",
+                                       "+2e-324"])
+    def test_underflowing_epsilon_is_a_usage_error(self, capsys, value):
+        # these parse to 0.0, which the library would report as
+        # "epsilon ... got 0.0", not what was typed
+        with pytest.raises(SystemExit) as exc:
+            main(["params", "--n-bits", "64", "--t", "32",
+                  "--epsilon", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --epsilon" in err
+        assert "underflows" in err
+        assert _parse_epsilon("2^-1074") == 2.0 ** -1074
+        rc, _, err = run(capsys, [
+            "params", "--n-bits", "64", "--t", "32", "--epsilon", "0e-400"])
+        assert rc == 2
+        assert "epsilon must be in (0, 1], got 0.0" in err
 
     def test_bad_epsilon_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):
@@ -497,6 +543,13 @@ class TestBench:
         assert "usage:" in bad.stderr
         assert "argument --methods" in bad.stderr
         assert "Traceback" not in bad.stderr
+
+    def test_epsilon_below_2_to_the_minus_1024_exceeds_the_pad(self,
+                                                               capsys):
+        rc, _, err = run(capsys, ["bench", "--sizes", "64",
+                                  "--epsilon", "2^-1074"])
+        assert rc == 2
+        assert "exceeds the pad length" in err
 
     @pytest.mark.parametrize("value", ["2^100000", "2**100000"])
     def test_overflowing_epsilon_is_a_usage_error(self, capsys, value):
