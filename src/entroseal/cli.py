@@ -331,14 +331,15 @@ def _gf2_suite(seed: int) -> list[Check]:
                      {"n": "2..20", "k": "1..n-1", "rejected": rejected},
                      ok and rejected > 0))
 
-    # The Frobenius walk must reject a planted factor of degree 13 .. D,
-    # above the sieve's reach, at its step-D checkpoint; division confirms
-    # the factor. A product of the wrong degree is a failed draw: the
-    # walk's fold would never end on it.
+    # The Frobenius walk must reject a planted factor of degree from one
+    # above the sieve's reach up to D at its step-D checkpoint; division
+    # confirms the factor. A product of the wrong degree is a failed draw:
+    # the walk's fold would never end on it.
     ok = True
     top = gf2._PREFILTER_DEGREE
+    low = gf2._SmallFactorSieve.MAX_DEGREE + 1
     for lam in (61, 130, 411):
-        for d in (13, 24, top):
+        for d in (low, 24, top):
             g = find_irreducible(d).modulus.value
             cofactors = (find_irreducible(lam - d).modulus.value,
                          (1 << (lam - d)) | rng.getrandbits(lam - d) | 1)
@@ -350,7 +351,7 @@ def _gf2_suite(seed: int) -> list[Check]:
                 ok &= gf2._frobenius_walk(f, lam) == top
                 ok &= gf2ref.polydivmod(f, g)[1] == 0
     out.append(Check("early-abort-vs-division",
-                     {"lam": "61,130,411", "deg_g": f"13,24,{top}",
+                     {"lam": "61,130,411", "deg_g": f"{low},24,{top}",
                       "cofactors": 2, "reject_step": top}, ok))
     return out
 

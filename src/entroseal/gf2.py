@@ -24,13 +24,14 @@ of precomputed moduli or else a scan, cached per degree by ``lru_cache``,
 with every modulus turned into a :class:`FieldSpec` by one constructor.
 The scan first drops the trinomials Swan's theorem proves reducible,
 from their exponents alone, then tests each candidate with a
-small-factor sieve, then with one walk of the Frobenius map,
-:func:`_frobenius_walk`: Rabin's test, with a gcd at step 48 that
-rejects small factors early (from degree 49 up). The first two only skip
-reducible candidates, so the modulus is Rabin's verdict alone, and
-:func:`is_irreducible` takes the same walk. Only the standard library is
-used: squares are spread a byte at a time through ``bytes.translate`` tables into one reused
-buffer, and the sieve's tables are 16-bit ``array`` views.
+small-factor sieve (factors of degree <= 10), then with one walk of the
+Frobenius map, :func:`_frobenius_walk`: Rabin's test, with a gcd at step
+48 that rejects small factors early (from degree 49 up). The first two
+only skip reducible candidates, so the modulus is Rabin's verdict
+alone, and :func:`is_irreducible` takes the same walk. Only the standard
+library is used: squares are spread a byte at a time through
+``bytes.translate`` tables into one reused buffer, and the sieve's tables
+are 16-bit ``array`` views.
 """
 
 from __future__ import annotations
@@ -542,7 +543,7 @@ def is_irreducible(p: BitPoly) -> bool:
 
 
 class _SmallFactorSieve:
-    """Fast divisibility checks against all irreducibles of degree <= 12.
+    """Fast divisibility checks against all irreducibles of degree <= 10.
 
     For each small irreducible g, the powers x^e mod g cycle with period
     ord(x) dividing 2^deg(g) - 1. The residue of a sparse candidate
@@ -551,7 +552,12 @@ class _SmallFactorSieve:
     each table's per-lam base holds x^lam + 1 mod g.
     """
 
-    MAX_DEGREE = 12
+    # Deeper tables mostly reject candidates that the walk's step-48 gcd
+    # would reject soon after: scanning the 20 degrees 171 + 48i in a fresh
+    # process, tables included, took 415, 407, 422 and 486 ms at depths 9,
+    # 10, 11 and 12 (medians of six interleaved runs; the tables alone
+    # took 5, 13, 41 and 101 ms).
+    MAX_DEGREE = 10
 
     def __init__(self, lam: int):
         self._ends = (1 << lam) | 1
@@ -559,7 +565,7 @@ class _SmallFactorSieve:
                         for period, cyc in _sieve_cycles()]
 
     def has_small_factor(self, f: int) -> bool:
-        """Whether an irreducible of degree <= 12 divides f (odd, degree lam)."""
+        """Whether an irreducible of degree <= 10 divides f (odd, degree lam)."""
         exps = _exponents_desc(f ^ self._ends)
         for period, cyc, base in self._tables:
             r = base
@@ -574,11 +580,12 @@ class _SmallFactorSieve:
 def _sieve_cycles() -> tuple[tuple[int, memoryview], ...]:
     """(period, x^e mod g for e < period) per sieve irreducible g.
 
-    The g are the irreducibles of degree 1 .. 12 except x, in ascending
-    order. Each table is one walk x^e -> x^(e+1) mod g (a shift and a
-    conditional XOR) until it returns to 1, so its length is the order of
-    x mod g. Independent of lam, so built once per process and shared as
-    read-only views of 16-bit arrays (about 1.2 M entries in all).
+    The g are the irreducibles of degree 1 .. MAX_DEGREE except x, in
+    ascending order. Each table is one walk x^e -> x^(e+1) mod g (a shift
+    and a conditional XOR) until it returns to 1, so its length is the
+    order of x mod g. Independent of lam, so built once per process and
+    shared as read-only views of 16-bit arrays (225 tables, 105,309
+    entries).
     """
     out = []
     for g in range(3, 1 << (_SmallFactorSieve.MAX_DEGREE + 1), 2):
@@ -624,8 +631,12 @@ def find_irreducible(lam: int) -> FieldSpec:
 
     Results are cached per degree (two threads may both compute a miss;
     the cache stays consistent); a handful of large degrees are served
-    from a precomputed table produced by this same scan.
+    from a precomputed table produced by this same scan. A degree that is
+    not an int of at least 1, or is a bool, raises PreconditionError; a
+    refused call caches nothing.
     """
+    if isinstance(lam, bool) or not isinstance(lam, int):
+        raise PreconditionError(f"degree must be an int, got {lam!r}")
     if lam < 1:
         raise PreconditionError("degree must be >= 1")
     if lam in _MODULUS_TABLE:
@@ -673,7 +684,7 @@ def _scan_for_irreducible(lam: int) -> int:
        exponents alone; it drops about five eighths of them over all
        degrees, nearly all at degrees 3 or 5 mod 8 and every one when 8
        divides lam);
-    2. the small-factor sieve (no factor of degree <= 12);
+    2. the small-factor sieve (no factor of degree <= 10);
     3. the Frobenius walk (:func:`_frobenius_walk`), Rabin's test and the
        only judge of irreducibility; from degree D + 1 = 49 up it rejects
        a candidate with a factor of degree <= D after D squares.
@@ -690,8 +701,8 @@ def _scan_for_irreducible(lam: int) -> int:
                     for c in range(1, b))
     # No tri- or pentanomial (possible in principle); fall back to any mask.
     masks = range(base, 1 << (lam + 1), 2)
-    # At lam <= 12 the sieve's tables would contain the candidate itself,
-    # so the same scan runs without it.
+    # At lam <= MAX_DEGREE the sieve's tables would contain the candidate
+    # itself, so the same scan runs without it.
     sieve = (_SmallFactorSieve(lam)
              if lam > _SmallFactorSieve.MAX_DEGREE else None)
     for f in itertools.chain(trinomials, pentanomials, masks):

@@ -544,6 +544,14 @@ def test_find_irreducible_rejects_degree_zero():
         find_irreducible(0)
 
 
+@pytest.mark.parametrize("lam", [2.0, True, "3"])
+def test_find_irreducible_rejects_a_degree_that_is_not_an_int(lam):
+    # a float or str used to fail deep in the scan with a bare TypeError,
+    # and True was served as degree 1
+    with pytest.raises(PreconditionError):
+        find_irreducible(lam)
+
+
 def test_modulus_table_entries_are_irreducible():
     # the table only skips the scan; every served modulus must still be
     # a genuine low-weight irreducible of the right degree
@@ -560,9 +568,11 @@ def test_modulus_table_entries_are_irreducible():
 def test_small_factor_sieve_matches_trial_division():
     # one process, two lambdas: the lam-independent cycle tables are built
     # once and shared, and each sieve must still answer for its own lam
-    small = [g for g in range(3, 1 << 13, 2)
+    depth = gf2._SmallFactorSieve.MAX_DEGREE
+    small = [g for g in range(3, 1 << (depth + 1), 2)
              if irreducible_by_trial_division(g)]
-    assert len(small) == 746  # every irreducible of degree <= 12 but x
+    # one table for every irreducible of degree <= depth but x
+    assert len(gf2._sieve_cycles()) == len(small)
     rng = random.Random(0x51E7E)
     for lam in (61, 130):
         sieve = gf2._SmallFactorSieve(lam)
@@ -572,9 +582,9 @@ def test_small_factor_sieve_matches_trial_division():
             for e in rng.sample(range(1, lam), rng.choice((1, 3))):
                 f |= 1 << e
             candidates.append(f)
-        # products whose only small factor has the sieve's top degree, 12
-        h = find_irreducible(lam - 12).modulus.value
-        top = [g for g in small if g.bit_length() == 13]
+        # products whose only small factor has the sieve's top degree
+        h = find_irreducible(lam - depth).modulus.value
+        top = [g for g in small if g.bit_length() == depth + 1]
         candidates += [clmul_shift_xor(g, h) for g in rng.sample(top, 3)]
         seen = set()
         for f in candidates:
@@ -617,11 +627,12 @@ def squares(monkeypatch):
 @pytest.mark.parametrize("lam", [61, 130, 411, 603])
 def test_prefilter_rejects_a_planted_factor(squares, lam):
     # the pre-filter is the walk's checkpoint at step D: a factor of degree
-    # 13 .. D, with an irreducible and a random cofactor, costs D squares;
-    # 13 and 24 lie at or below D/2, so only their multiples catch them
+    # just above the sieve's up to D, with an irreducible and a random
+    # cofactor, costs D squares; the two lowest lie at or below D/2, so
+    # only their multiples catch them
     rng = random.Random(lam)
     top = gf2._PREFILTER_DEGREE
-    for d in (13, 24, top):
+    for d in (gf2._SmallFactorSieve.MAX_DEGREE + 1, 24, top):
         g = find_irreducible(d).modulus.value
         for h in (find_irreducible(lam - d).modulus.value,
                   (1 << (lam - d)) | rng.getrandbits(lam - d) | 1):
@@ -630,6 +641,23 @@ def test_prefilter_rejects_a_planted_factor(squares, lam):
             squares[0] = 0
             assert gf2._frobenius_walk(f, lam) == top, (lam, d)
             assert squares[0] == top, (lam, d)
+
+
+def test_a_factor_just_above_the_sieve_is_left_to_the_walk():
+    # the seam between the two tests: a factor of degree MAX_DEGREE + 1,
+    # planted with an irreducible cofactor of degree above D, passes the
+    # sieve and is rejected at the walk's step-D checkpoint
+    d = gf2._SmallFactorSieve.MAX_DEGREE + 1
+    lam = 130
+    sieve = gf2._SmallFactorSieve(lam)
+    h = find_irreducible(lam - d).modulus.value
+    planted = [g for g in range(1 << d, 1 << (d + 1))
+               if irreducible_by_trial_division(g)]
+    assert planted
+    for g in planted:
+        f = clmul_shift_xor(g, h)
+        assert not sieve.has_small_factor(f), hex(g)
+        assert gf2._frobenius_walk(f, lam) == gf2._PREFILTER_DEGREE, hex(g)
 
 
 # Every degree from D + 1 = 49 to 511 that the goldens pin (none is a
