@@ -24,7 +24,8 @@ from entroseal.cipher import (
 )
 from entroseal.errors import LengthError, ParameterError, PreconditionError
 from entroseal.gf2 import BitPoly
-from entroseal.keyexpand import ExpansionParams, Mode, expand_affine
+from entroseal.keyexpand import (ExpansionParams, Mode, expand_affine,
+                                 expand_fullmul)
 from entroseal.rng import RandomSource
 
 
@@ -331,3 +332,43 @@ class TestCiphertextValidation:
         assert deserialize(serialize(c)) == c
         with pytest.raises(ParameterError, match="unknown mode"):
             Ciphertext(mode="bogus", **fields)
+
+
+# classical(16, 10): key 10 bits, u lam = 10, v tail_len = 6, payload and
+# r out_len = 16, plaintext n = 16; each case is one bit short or long.
+_EXP = ExpansionParams.classical(16, 10)
+_KEY, _U, _V, _X = (BitPoly(0, 10), BitPoly(0, 10), BitPoly(0, 6),
+                    BitPoly(0, 16))
+
+
+def _ciphertext_with(**fields):
+    good = dict(n=16, ell=10, mode=Mode.CLASSICAL, u=_U, v=_V, payload=_X)
+    return Ciphertext(**{**good, **fields})
+
+
+@pytest.mark.parametrize("call,text", [
+    (lambda: expand_affine(BitPoly(0, 9), _U, _V, _EXP),
+     "key must have 10 bits, got 9"),
+    (lambda: expand_affine(_KEY, BitPoly(0, 11), _V, _EXP),
+     "u must have 10 bits, got 11"),
+    (lambda: expand_affine(_KEY, _U, BitPoly(0, 5), _EXP),
+     "v must have 6 bits, got 5"),
+    (lambda: expand_fullmul(BitPoly(0, 11), _X, _EXP),
+     "key must have 10 bits, got 11"),
+    (lambda: expand_fullmul(_KEY, BitPoly(0, 15), _EXP),
+     "r must have 16 bits, got 15"),
+    (lambda: _ciphertext_with(u=BitPoly(0, 9)), "u must have 10 bits, got 9"),
+    (lambda: _ciphertext_with(v=BitPoly(0, 7)), "v must have 6 bits, got 7"),
+    (lambda: _ciphertext_with(payload=BitPoly(0, 15)),
+     "payload must have 16 bits, got 15"),
+    (lambda: encrypt_with(_KEY, BitPoly(0, 17), _EXP, _U, _V),
+     "plaintext must have 16 bits, got 17"),
+    (lambda: decrypt(BitPoly(0, 9), _ciphertext_with()),
+     "key must have 10 bits, got 9"),
+], ids=["affine-key", "affine-u", "affine-v", "fullmul-key", "fullmul-r",
+        "ciphertext-u", "ciphertext-v", "ciphertext-payload",
+        "encrypt-plaintext", "decrypt-key"])
+def test_every_field_width_is_checked_with_one_message(call, text):
+    with pytest.raises(LengthError) as info:
+        call()
+    assert str(info.value) == text
