@@ -4,7 +4,7 @@ It stands in for ``@dataclass(frozen=True)`` on the import path of
 :mod:`entroseal.cli`: ``dataclasses`` loads ``inspect`` and builds each
 class's methods with ``exec`` in every process, several milliseconds of
 the CLI's start-up. Subclasses declare ``_fields`` (the stored fields, in
-order) and ``__slots__`` (those plus any derived slots), and set their
+order) and ``__slots__`` (those a base class lacks), and set their
 slots in a hand-written ``__init__`` past the frozen ``__setattr__``, with
 ``object.__setattr__`` or a slot descriptor's own ``__set__``.
 

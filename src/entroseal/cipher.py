@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record
 from .errors import (FormatError, LengthError, ParameterError,
                      PreconditionError, WireErrorCode)
 from .gf2 import BitPoly
@@ -66,17 +65,23 @@ def _ceil_snapped(x: float) -> int:
 def _key_length(n: int, t: float, epsilon: float, mode: Mode,
                 slack: float) -> int:
     """ceil(n - t + 2*log2(1/eps) + slack), checked to fit the pad."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParameterError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if not math.isfinite(t):
-        raise ParameterError(f"t must be finite, got {t}")
-    if not (0.0 < epsilon <= 1.0):
-        raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
-    if mode is Mode.QUANTUM and not -n <= t <= n:
-        raise ParameterError(
-            f"quantum mode requires -n <= t <= n, got t = {t:.6g}")
-    two_log = -2.0 * math.log2(epsilon)
-    ell = _ceil_snapped(n - t + two_log + slack)
+    try:
+        if not math.isfinite(t):
+            raise ParameterError(f"t must be finite, got {t}")
+        if not (0.0 < epsilon <= 1.0):
+            raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
+        if mode is Mode.QUANTUM and not -n <= t <= n:
+            raise ParameterError(
+                f"quantum mode requires -n <= t <= n, got t = {t:.6g}")
+        two_log = -2.0 * math.log2(epsilon)
+        ell = _ceil_snapped(n - t + two_log + slack)
+    except OverflowError:  # the formula is evaluated in floats
+        raise ParameterError("n, t and n - t + 2*log2(1/eps) must lie "
+                             "within float range") from None
     if ell < 1:
         raise ParameterError(
             f"derived key length {ell} < 1; the requested (t, epsilon) "
@@ -119,31 +124,24 @@ def indistinguishability_key_length(n: int, t: float, epsilon: float) -> int:
     return _key_length(n, t, epsilon, Mode.QUANTUM, 0.0)
 
 
-class SchemeParams(Record):
-    """Validated scheme parameters; the key length and sizes are derived.
+class SchemeParams(ExpansionParams):
+    """Validated scheme parameters: the sizes of (n, ell, mode), ell derived.
 
-    mode accepts the enum or its string value and is stored as the enum.
-    ``expansion``, the sizes for (n, ell, mode) with ell from
-    :func:`derive_key_length`, is derived at construction, so bad
-    parameters fail there; it takes no part in equality, hash or repr.
+    ell comes from :func:`derive_key_length` at construction, so bad
+    parameters fail there. t and epsilon are stored beside the inherited
+    sizes; equality, hash and repr cover (n, t, epsilon, mode). mode
+    accepts the enum or its string value and is stored as the enum.
     """
 
     _fields = ("n", "t", "epsilon", "mode")
-    __slots__ = _fields + ("expansion",)
+    __slots__ = ("t", "epsilon")
 
     def __init__(self, n: int, t: float, epsilon: float,
                  mode: Mode | str) -> None:
         mode = Mode.parse(mode)
-        object.__setattr__(self, "n", n)
+        super().__init__(n, derive_key_length(n, t, epsilon, mode), mode)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "mode", mode)
-        ell = derive_key_length(n, t, epsilon, mode)
-        object.__setattr__(self, "expansion", ExpansionParams(n, ell, mode))
-
-    @property
-    def ell(self) -> int:
-        return self.expansion.ell
 
     @classmethod
     def derive(cls, n: int, t: float, epsilon: float,
@@ -151,67 +149,48 @@ class SchemeParams(Record):
         return cls(n=n, t=t, epsilon=epsilon, mode=mode)
 
 
-def _expansion_of(params) -> ExpansionParams:
-    if isinstance(params, ExpansionParams):
-        return params
-    return params.expansion
-
-
-class Ciphertext(Record):
-    """(u, v, payload) plus the sizes needed to reconstruct the pad rule.
+class Ciphertext(ExpansionParams):
+    """(u, v, payload) with the sizes (n, ell, mode) that fix their widths.
 
     Classical payload is the masked message (n bits); quantum payload is
-    the 2n-bit Pauli key string for the simulator to apply. ``expansion``
-    is derived from (n, ell, mode) once, at construction; equality, hash
-    and repr cover the six stored fields only.
+    the 2n-bit Pauli key string for the simulator to apply. The inherited
+    sizes give the pad rule; equality, hash and repr cover the six stored
+    fields.
     """
 
     _fields = ("n", "ell", "mode", "u", "v", "payload")
-    __slots__ = _fields + ("expansion",)
+    __slots__ = ("u", "v", "payload")
 
     def __init__(self, n: int, ell: int, mode: Mode | str, u: BitPoly,
                  v: BitPoly, payload: BitPoly) -> None:
-        exp = ExpansionParams(n, ell, mode)
-        if u.nbits != exp.lam:
-            raise LengthError(f"u must have {exp.lam} bits, got {u.nbits}")
-        if v.nbits != exp.tail_len:
-            raise LengthError(
-                f"v must have {exp.tail_len} bits, got {v.nbits}")
-        if payload.nbits != exp.out_len:
-            raise LengthError(
-                f"payload must have {exp.out_len} bits, got {payload.nbits}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "mode", exp.mode)
+        super().__init__(n, ell, mode)
+        self.check_widths(u=u, v=v, payload=payload)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "expansion", exp)
 
 
-def gen(params, rng: RandomSource) -> BitPoly:
+def gen(params: ExpansionParams, rng: RandomSource) -> BitPoly:
     """Fresh uniform ell-bit key."""
-    return rng.bits(_expansion_of(params).ell)
+    return rng.bits(params.ell)
 
 
-def encrypt_with(key: BitPoly, x: BitPoly, params, u: BitPoly,
-                 v: BitPoly) -> Ciphertext:
+def encrypt_with(key: BitPoly, x: BitPoly, params: ExpansionParams,
+                 u: BitPoly, v: BitPoly) -> Ciphertext:
     """Encrypt under caller-chosen public randomness (deterministic)."""
-    exp = _expansion_of(params)
-    if exp.mode is not Mode.CLASSICAL:
+    if params.mode is not Mode.CLASSICAL:
         raise PreconditionError("encrypt applies to classical mode only")
-    if x.nbits != exp.n:
-        raise LengthError(f"plaintext must have {exp.n} bits, got {x.nbits}")
-    pad = expand_affine(key, u, v, exp)
-    return Ciphertext(n=exp.n, ell=exp.ell, mode=exp.mode,
+    params.check_widths(plaintext=x)
+    pad = expand_affine(key, u, v, params)
+    return Ciphertext(n=params.n, ell=params.ell, mode=params.mode,
                       u=u, v=v, payload=x ^ pad)
 
 
-def encrypt(key: BitPoly, x: BitPoly, params, rng: RandomSource) -> Ciphertext:
+def encrypt(key: BitPoly, x: BitPoly, params: ExpansionParams,
+            rng: RandomSource) -> Ciphertext:
     """Draw fresh (u, v) and mask the plaintext with the expanded pad."""
-    exp = _expansion_of(params)
-    u, v = sample_public_randomness(exp, rng)
-    return encrypt_with(key, x, exp, u, v)
+    u, v = sample_public_randomness(params, rng)
+    return encrypt_with(key, x, params, u, v)
 
 
 def decrypt(key: BitPoly, c: Ciphertext) -> BitPoly:
@@ -223,29 +202,24 @@ def decrypt(key: BitPoly, c: Ciphertext) -> BitPoly:
     if c.mode is not Mode.CLASSICAL:
         raise PreconditionError(
             "quantum key tags are consumed by the simulator, not decrypt")
-    exp = c.expansion
-    if key.nbits != exp.ell:
-        raise LengthError(f"key must have {exp.ell} bits, got {key.nbits}")
-    pad = expand_affine(key, c.u, c.v, exp)
-    return c.payload ^ pad
+    return c.payload ^ expand_affine(key, c.u, c.v, c)
 
 
-def quantum_keytag_with(key: BitPoly, params, u: BitPoly,
+def quantum_keytag_with(key: BitPoly, params: ExpansionParams, u: BitPoly,
                         v: BitPoly) -> Ciphertext:
     """Quantum-mode tag under caller-chosen public randomness."""
-    exp = _expansion_of(params)
-    if exp.mode is not Mode.QUANTUM:
+    if params.mode is not Mode.QUANTUM:
         raise PreconditionError("key tags require quantum mode")
-    beta = expand_affine(key, u, v, exp)
-    return Ciphertext(n=exp.n, ell=exp.ell, mode=exp.mode,
+    beta = expand_affine(key, u, v, params)
+    return Ciphertext(n=params.n, ell=params.ell, mode=params.mode,
                       u=u, v=v, payload=beta)
 
 
-def quantum_keytag(key: BitPoly, params, rng: RandomSource) -> Ciphertext:
+def quantum_keytag(key: BitPoly, params: ExpansionParams,
+                   rng: RandomSource) -> Ciphertext:
     """(u, v, beta): the 2n-bit Pauli key string plus its public inputs."""
-    exp = _expansion_of(params)
-    u, v = sample_public_randomness(exp, rng)
-    return quantum_keytag_with(key, exp, u, v)
+    u, v = sample_public_randomness(params, rng)
+    return quantum_keytag_with(key, params, u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -44,19 +44,30 @@ class Mode(enum.Enum):
             raise ParameterError(f"unknown mode {mode!r}") from None
 
 
+# The width of each role's bit string, named by an ExpansionParams size.
+_WIDTH_OF = {"key": "ell", "u": "lam", "v": "tail_len", "payload": "out_len",
+             "r": "out_len", "plaintext": "n"}
+
+
 class ExpansionParams(Record):
     """Sizes for one expansion instance.
 
     Classical mode pads an n-bit message, so out_len = n. Quantum mode
     produces a 2n-bit Pauli key string for n qubits, so out_len = 2n. In
     both modes tail_len = out_len - ell is the part of the pad beyond the
-    copied key, and the field has degree lam = max(ell, tail_len). mode
-    accepts the enum or its string value and is stored as the enum.
+    copied key, and the field has degree lam = max(ell, tail_len). n and
+    ell are ints; mode accepts the enum or its string value and is stored
+    as the enum. ``cipher.SchemeParams`` and ``cipher.Ciphertext`` extend
+    this record, so either is accepted wherever it is.
     """
 
     __slots__ = _fields = ("n", "ell", "mode")
 
     def __init__(self, n: int, ell: int, mode: Mode | str) -> None:
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ParameterError(f"n must be an int, got {n!r}")
+        if isinstance(ell, bool) or not isinstance(ell, int):
+            raise ParameterError(f"ell must be an int, got {ell!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "mode", Mode.parse(mode))
@@ -80,18 +91,27 @@ class ExpansionParams(Record):
     def lam(self) -> int:
         return max(self.ell, self.tail_len)
 
-    @classmethod
-    def classical(cls, n: int, ell: int) -> "ExpansionParams":
-        return cls(n, ell, Mode.CLASSICAL)
+    @property
+    def expansion(self) -> "ExpansionParams":
+        """The sizes alone, as a plain ExpansionParams."""
+        return ExpansionParams(self.n, self.ell, self.mode)
 
-    @classmethod
-    def quantum(cls, n: int, ell: int) -> "ExpansionParams":
-        return cls(n, ell, Mode.QUANTUM)
+    def check_widths(self, **fields: BitPoly) -> None:
+        """Raise LengthError unless each bit string, named by its role,
+        has that role's width; roles are checked in the order given."""
+        for role, p in fields.items():
+            want = getattr(self, _WIDTH_OF[role])
+            if p.nbits != want:
+                raise LengthError(
+                    f"{role} must have {want} bits, got {p.nbits}")
 
+    @staticmethod
+    def classical(n: int, ell: int) -> "ExpansionParams":
+        return ExpansionParams(n, ell, Mode.CLASSICAL)
 
-def _check_len(name: str, p: BitPoly, want: int) -> None:
-    if p.nbits != want:
-        raise LengthError(f"{name} must have {want} bits, got {p.nbits}")
+    @staticmethod
+    def quantum(n: int, ell: int) -> "ExpansionParams":
+        return ExpansionParams(n, ell, Mode.QUANTUM)
 
 
 def expand_affine(key: BitPoly, u: BitPoly, v: BitPoly,
@@ -103,9 +123,7 @@ def expand_affine(key: BitPoly, u: BitPoly, v: BitPoly,
     truncation is linear, adding v after truncating equals embedding v
     low and adding before: lsb(u*k + v) = lsb(u*k) xor v.
     """
-    _check_len("key", key, params.ell)
-    _check_len("u", u, params.lam)
-    _check_len("v", v, params.tail_len)
+    params.check_widths(key=key, u=u, v=v)
     if params.tail_len == 0:
         return key
     spec = find_irreducible(params.lam)
@@ -121,8 +139,7 @@ def expand_fullmul(key: BitPoly, r: BitPoly,
     That is GF(2^n) for a classical n-bit message and GF(2^{2n}) for the
     Pauli key string of n qubits.
     """
-    _check_len("key", key, params.ell)
-    _check_len("r", r, params.out_len)
+    params.check_widths(key=key, r=r)
     spec = find_irreducible(params.out_len)
     return gf_mul(key.resize(params.out_len), r, spec)
 

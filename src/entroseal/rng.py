@@ -25,14 +25,15 @@ class RandomSource:
             self._rng = random.Random(seed)
 
     def bits(self, nbits: int) -> BitPoly:
-        """A uniform BitPoly of exactly nbits bits (nbits = 0 is legal)."""
+        """A uniform BitPoly of exactly nbits bits (nbits = 0 is legal);
+        only a failure of the source itself raises EntropyError."""
+        if isinstance(nbits, bool) or not isinstance(nbits, int):
+            raise PreconditionError(f"bit count must be an int, got {nbits!r}")
         if nbits < 0:
             raise PreconditionError("bit count must be nonnegative")
-        if nbits == 0:
-            return BitPoly(0, 0)
         try:
             value = self._rng.getrandbits(nbits)
-        except Exception as exc:  # pragma: no cover - platform failure
+        except (OSError, NotImplementedError) as exc:
             raise EntropyError(f"entropy source failed: {exc}") from exc
         return BitPoly(value, nbits)
 

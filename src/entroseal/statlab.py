@@ -245,7 +245,7 @@ def check_derived_sizing(n: int, t: int, epsilon: float,
     """
     params = SchemeParams.derive(n, t, epsilon, Mode.CLASSICAL)
     dx = flat_subset(n, t)
-    y = ciphertext_distribution(params.expansion, dx, budget)
+    y = ciphertext_distribution(params, dx, budget)
     delta = distance_to_uniform(y)
     bound = 8 * Fraction(epsilon)
     return Check(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entroseal.bench import Method, count_expansion
 from entroseal.cipher import (
     Ciphertext,
     SchemeParams,
@@ -23,7 +24,7 @@ from entroseal.cipher import (
     serialize,
 )
 from entroseal.errors import LengthError, ParameterError, PreconditionError
-from entroseal.gf2 import BitPoly
+from entroseal.gf2 import Backend, BitPoly
 from entroseal.keyexpand import (ExpansionParams, Mode, expand_affine,
                                  expand_fullmul)
 from entroseal.rng import RandomSource
@@ -117,6 +118,24 @@ class TestDeriveKeyLength:
         assert derive_key_length(5000, 4000, 1e-320, "classical") == 3122
         with pytest.raises(ParameterError, match="= 2143, got t = 1000"):
             derive_key_length(5000, 1000, 2.0 ** -1074, "classical")
+
+    @pytest.mark.parametrize("n", [64.5, 64.0, True])
+    def test_n_must_be_an_int(self, n):
+        for sizing in (lambda: derive_key_length(n, 1.0, 0.5, "quantum"),
+                       lambda: indistinguishability_key_length(n, 1.0, 0.5),
+                       lambda: SchemeParams(n, 1.0, 0.5, "quantum")):
+            with pytest.raises(ParameterError, match="n must be an int"):
+                sizing()
+
+    @pytest.mark.parametrize("n,t", [(10 ** 400, 1.0), (64, 10 ** 400),
+                                     (64, -10 ** 400), (10 ** 308, -1.7e308)],
+                             ids=["n", "t", "minus-t", "n-t"])
+    def test_sizes_past_float_range_are_parameter_errors(self, n, t):
+        # each used to escape as a bare OverflowError
+        with pytest.raises(ParameterError, match="within float range"):
+            derive_key_length(n, t, 0.5, "classical")
+        with pytest.raises(ParameterError):
+            indistinguishability_key_length(n, t, 0.5)
 
     def test_quantum_exceeds_advisory_by_three(self):
         for n, t, k in [(64, 0, 5), (64, 32, 8), (128, -16, 4), (32, 10, 3)]:
@@ -260,6 +279,22 @@ class TestEncryptDecrypt:
         x = rng.bits(16)
         c = encrypt(key, x, p, rng)
         assert decrypt(key, c) == x
+
+    def test_scheme_params_and_ciphertexts_are_expansion_params(self):
+        p = SchemeParams.derive(16, 8, 2.0 ** -4)
+        rng = RandomSource(31)
+        key = gen(p, rng)
+        c = encrypt(key, rng.bits(16), p, rng)
+        exp = ExpansionParams.classical(16, p.ell)
+        assert (p.expansion, c.expansion) == (exp, exp)
+        assert expand_affine(key, c.u, c.v, c) == expand_affine(
+            key, c.u, c.v, exp)
+        r = rng.bits(16)
+        assert expand_fullmul(key, r, p) == expand_fullmul(key, r, exp)
+        for sizes in (p, c):
+            for method in (Method.AFFINE, Method.FULLMUL_CLASSICAL):
+                assert count_expansion(method, sizes, Backend.KARATSUBA) == \
+                    count_expansion(method, exp, Backend.KARATSUBA)
 
     def test_plaintext_length_checked(self):
         exp = ExpansionParams.classical(8, 4)

@@ -80,6 +80,12 @@ class TestExpansionParams:
         with pytest.raises(ParameterError):
             ExpansionParams.classical(0, 1)
 
+    @pytest.mark.parametrize("n,ell,name", [(64.0, 16, "n"), (True, 1, "n"),
+                                            (8, 3.0, "ell"), (8, True, "ell")])
+    def test_rejects_a_size_that_is_not_an_int(self, n, ell, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be an int"):
+            ExpansionParams(n, ell, "classical")
+
 
 class TestExpandAffine:
     def test_frozen_vector(self):
