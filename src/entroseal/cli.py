@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import stat
 import sys
 
 from ._record import Check
@@ -126,8 +127,18 @@ def _read_file(path: str) -> bytes:
 
 
 def _write_file(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
+    """Overwrite ``path`` in place, then cut a regular file to ``data``.
+
+    No ``O_TRUNC``: on ext4, truncating a file written moments ago waits
+    for its write-back (tens of ms). A pipe, FIFO or tty has no length to
+    cut, so only a regular file is truncated. Opening the descriptor in
+    mode "wb" truncates nothing.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
         fh.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _load_key(path: str, ell: int) -> BitPoly:
@@ -190,10 +201,9 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
 def cmd_decrypt(args: argparse.Namespace) -> int:
     c = deserialize(_read_file(args.input))
     key = _load_key(args.key, c.ell)
-    x = decrypt(key, c)
-    _write_file(args.out, x.to_bytes())
-    print(f"decrypted to {len(x.to_bytes())} bytes (n={c.n})",
-          file=sys.stderr)
+    plain = decrypt(key, c).to_bytes()
+    _write_file(args.out, plain)
+    print(f"decrypted to {len(plain)} bytes (n={c.n})", file=sys.stderr)
     return 0
 
 

@@ -1,16 +1,19 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import builtins
 import functools
 import json
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 import entroseal
 from entroseal import cli, statlab
+from entroseal.cipher import deserialize
 from entroseal.cli import _parse_epsilon, main
 from entroseal.errors import (ConfigurationError, DominationError,
                               EntropyError, EntrosealError)
@@ -264,6 +267,154 @@ sys.exit(f"loaded {loaded}" if loaded else 0)
         assert proc.returncode == 0, proc.stderr
         assert "lambda=2123" in proc.stderr
         assert "lambda=331" in proc.stderr
+
+    # `--out` is written in place: a longer old file is cut to the new
+    # length, a link is written through, and a pipe or FIFO just receives
+    # the bytes.
+    README_ARGS = ["--t", "2048", "--epsilon", "2^-40", "--seed", "1"]
+    README_CT_BYTES = 22 + 266 + 247 + 512  # header, u, v, payload
+
+    def _encrypt(self, capsys, plain, key, out):
+        rc, _, err = run(capsys, ["encrypt", str(plain), "--key", str(key),
+                                  "--out", str(out), *self.README_ARGS])
+        assert rc == 0, err
+
+    def _decrypt(self, capsys, ct, key, out):
+        rc, _, err = run(capsys, ["decrypt", str(ct), "--key", str(key),
+                                  "--out", str(out)])
+        assert rc == 0, err
+        return err
+
+    def test_encrypt_over_a_longer_file_leaves_only_the_ciphertext(
+            self, tmp_path, capsys):
+        plain, key = self._write_inputs(tmp_path)
+        ct = tmp_path / "c.ese"
+        ct.write_bytes(os.urandom(5000))
+        self._encrypt(capsys, plain, key, ct)
+        assert len(ct.read_bytes()) == self.README_CT_BYTES
+        back = tmp_path / "back.bin"
+        self._decrypt(capsys, ct, key, back)
+        assert back.read_bytes() == plain.read_bytes()
+
+    def test_decrypt_over_a_longer_file_leaves_only_the_plaintext(
+            self, tmp_path, capsys):
+        plain, key = self._write_inputs(tmp_path)
+        ct = tmp_path / "c.ese"
+        self._encrypt(capsys, plain, key, ct)
+        back = tmp_path / "back.bin"
+        back.write_bytes(os.urandom(5000))
+        err = self._decrypt(capsys, ct, key, back)
+        assert back.read_bytes() == plain.read_bytes()
+        assert err == "decrypted to 512 bytes (n=4096)\n"
+
+    def test_an_overwrite_cut_short_of_its_truncate_is_malformed(
+            self, tmp_path, capsys):
+        # What an interrupted write leaves over a longer ciphertext: the
+        # new bytes, then the old tail. Its length disagrees with the
+        # header, so decrypt refuses it instead of returning garbage.
+        plain, key = self._write_inputs(tmp_path)
+        longer = tmp_path / "longer.bin"
+        longer.write_bytes(bytes(600))
+        ct = tmp_path / "c.ese"
+        rc, _, err = run(capsys, ["encrypt", str(longer), "--key", str(key),
+                                  "--t", "2400", "--epsilon", "2^-40",
+                                  "--out", str(ct)])
+        assert rc == 0, err
+        fresh = tmp_path / "fresh.ese"
+        self._encrypt(capsys, plain, key, fresh)
+        with open(ct, "r+b") as fh:
+            fh.write(fresh.read_bytes())
+        rc, _, err = run(capsys, ["decrypt", str(ct), "--key", str(key),
+                                  "--out", str(tmp_path / "back.bin")])
+        assert rc == 4
+        assert "need exactly 1047 bytes" in err
+
+    def test_a_symlink_is_written_through(self, tmp_path, capsys):
+        plain, key = self._write_inputs(tmp_path)
+        target = tmp_path / "target.ese"
+        target.write_bytes(os.urandom(5000))
+        target.chmod(0o640)
+        link = tmp_path / "link.ese"
+        link.symlink_to(target)
+        self._encrypt(capsys, plain, key, link)
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert target.stat().st_mode & 0o777 == 0o640
+        expected = tmp_path / "plain.ese"
+        self._encrypt(capsys, plain, key, expected)
+        assert target.read_bytes() == expected.read_bytes()
+
+    def test_stdout_pipe(self, tmp_path):
+        # A pipe has no length to cut: truncating it would fail with
+        # ESPIPE (exit 5).
+        plain, key = self._write_inputs(tmp_path)
+        src = os.path.dirname(os.path.dirname(entroseal.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "entroseal", "encrypt", str(plain),
+             "--key", str(key), "--out", "/dev/stdout", *self.README_ARGS],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert deserialize(proc.stdout).n == 4096
+        assert len(proc.stdout) == self.README_CT_BYTES
+
+    def test_fifo(self, tmp_path, capsys):
+        plain, key = self._write_inputs(tmp_path)
+        fifo = tmp_path / "c.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        try:
+            rc, _, err = run(capsys, [
+                "encrypt", str(plain), "--key", str(key), "--out", str(fifo),
+                *self.README_ARGS])
+        finally:
+            # Release a reader still waiting for a writer if encrypt never
+            # opened the FIFO; with no reader waiting this open fails.
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert rc == 0, err
+        assert deserialize(got[0]).n == 4096
+        assert len(got[0]) == self.README_CT_BYTES
+
+    def test_no_output_is_opened_with_truncation(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # On ext4, truncating a file written moments ago waits for its
+        # write-back (tens of ms a call). Tier-1 cannot time that, so it
+        # checks the open flags of every output path instead.
+        plain, key = self._write_inputs(tmp_path)
+        ct, back = tmp_path / "c.ese", tmp_path / "back.bin"
+        ct.write_bytes(b"old")
+        back.write_bytes(b"old")
+        outputs = {str(ct), str(back)}
+        opened = []
+        real_os_open, real_open = os.open, builtins.open
+
+        def os_open(path, flags, *args, **kwargs):
+            if os.fspath(path) in outputs:
+                opened.append((os.fspath(path), bool(flags & os.O_TRUNC)))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def open_(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and \
+                    os.fspath(file) in outputs:
+                opened.append((os.fspath(file), "w" in mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(builtins, "open", open_)
+        self._encrypt(capsys, plain, key, ct)
+        self._decrypt(capsys, ct, key, back)
+        monkeypatch.undo()
+        assert back.read_bytes() == plain.read_bytes()
+        assert {path for path, _ in opened} == outputs
+        assert not [path for path, truncating in opened if truncating]
 
 
 class TestErrorExitCodes:
