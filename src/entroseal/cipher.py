@@ -169,6 +169,18 @@ class Ciphertext(ExpansionParams):
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "payload", payload)
 
+    @classmethod
+    def _of_sized(cls, sizes: ExpansionParams, u: BitPoly, v: BitPoly,
+                  payload: BitPoly) -> "Ciphertext":
+        """The ciphertext of checked sizes and of fields that already have
+        their widths, as :func:`deserialize` cuts them: nothing is checked
+        again."""
+        c = object.__new__(cls)
+        for name, value in zip(cls._fields, (sizes.n, sizes.ell, sizes.mode,
+                                             u, v, payload)):
+            object.__setattr__(c, name, value)
+        return c
+
 
 def gen(params: ExpansionParams, rng: RandomSource) -> BitPoly:
     """Fresh uniform ell-bit key."""
@@ -251,7 +263,11 @@ def serialize(c: Ciphertext) -> bytes:
 
 
 def deserialize(data: bytes) -> Ciphertext:
-    """Parse and validate; every malformed input maps to a FormatError."""
+    """Parse and validate; every malformed input maps to a FormatError.
+
+    (n, ell, mode) is validated once, by the sizes that cut the fields,
+    and those sizes become the ciphertext's own.
+    """
     if len(data) < 4:
         raise FormatError(WireErrorCode.TRUNCATED,
                           f"{len(data)} bytes is shorter than the magic")
@@ -302,5 +318,4 @@ def deserialize(data: bytes) -> Ciphertext:
             raise FormatError(
                 WireErrorCode.NONZERO_PADDING,
                 f"pad bits of field {name} are not zero") from exc
-    u, v, payload = fields
-    return Ciphertext(n=n, ell=ell, mode=mode, u=u, v=v, payload=payload)
+    return Ciphertext._of_sized(exp, *fields)

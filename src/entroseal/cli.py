@@ -289,12 +289,15 @@ def _gf2_suite(seed: int) -> list[Check]:
                     p, cs.ands, cs.xors)
                 ok &= gf2ref.clmul_karatsuba_counted(a, b, max(na, nb)) == (
                     p, ck.ands, ck.xors)
-    # Values only past the kernel's Karatsuba leaf width, where the counted
-    # references are too slow: one product that splits, and a wide operand
-    # against one narrow enough for 4-bit windows over several blocks.
-    # Their own stream keeps the draws of the others.
-    leaf = gf2._KARATSUBA_LEAF_BITS
-    wide_pairs = ((leaf + 3, leaf + 3), (2 * leaf + 9, 301))
+    # Values only past the comb's 8-bit windows, where the counted
+    # references are too slow: a product on 64-bit steps just past their
+    # switch, the same steps over a table three leaves wide, one product
+    # that splits, and a wide operand against one narrow enough for 4-bit
+    # windows over several blocks. Their own stream keeps the draws of the
+    # others.
+    leaf, wide = gf2._KARATSUBA_LEAF_BITS, gf2._WIDE_COMB_BITS
+    wide_pairs = ((wide + 5, wide + 5), (3 * leaf, wide + 1),
+                  (leaf + 3, leaf + 3), (2 * leaf + 9, 301))
     wide_rng = random.Random(f"wide-{seed}")
     for na, nb in wide_pairs:
         for _ in range(3):

@@ -9,9 +9,12 @@ and :func:`reduce_cost` count the two-input AND and XOR gates a hardware
 realization of the chosen :class:`Backend` would use. Every product is
 evaluated by one kernel: wide products split Karatsuba-style down to a
 leaf width, and each leaf is a windowed comb (Horner's rule over a table
-of multiples of the wider operand); ``Backend`` is still only the count
-model. The counting rules are mirrored bit-serially in
-:mod:`entroseal.gf2ref` and the two are tested against each other.
+of multiples of the wider operand). A comb over a narrower operand of
+more than about 3.5 kbit reads it 64 bits a step through 16 nibble tables,
+so that each step costs one big-int shift, not eight (Lopez & Dahab,
+INDOCRYPT 2000). ``Backend`` is still only the count model. The counting
+rules are mirrored bit-serially in :mod:`entroseal.gf2ref` and the two
+are tested against each other.
 
 One loop, :func:`_square_mod`, computes every remainder and every square
 modulo f: :func:`reduce_mod` and every step and product of the Frobenius
@@ -171,17 +174,22 @@ class Backend(enum.Enum):
     KARATSUBA = "karatsuba"
 
 
-# The carry-less kernel's three constants, each picked by an interleaved
-# timing sweep: products of two equal widths above _KARATSUBA_LEAF_BITS
-# are split Karatsuba-style (see _comb_int for unequal widths); a comb
-# leaf uses 4-bit windows up to _NIBBLE_WINDOW_BITS (its 16-entry table
-# is cheaper to build than 256 entries, which only pay off over many
-# bytes) and 8-bit windows above; and it runs Horner's rule over blocks
-# of _COMB_BLOCK windows, so that each step shifts a value about as wide
-# as the wider operand rather than the whole product.
-_KARATSUBA_LEAF_BITS = 6144
+# The carry-less kernel's constants, each picked by an interleaved timing
+# sweep: products of two equal widths above _KARATSUBA_LEAF_BITS are split
+# Karatsuba-style (see _comb_int for unequal widths); a comb leaf uses
+# 4-bit windows while the narrower operand has up to _NIBBLE_WINDOW_BITS
+# (its 16-entry table is cheaper to build than 256 entries, which only pay
+# off over many bytes), 8-bit windows up to _WIDE_COMB_BITS and 64-bit
+# Horner steps above (where the seven big-int shifts they save per 64 bits
+# cost more than the eight XORs they add). Horner's rule runs over blocks
+# of _COMB_BLOCK windows or _WIDE_COMB_BLOCK 64-bit words, so that each
+# step shifts a value about as wide as the wider operand rather than the
+# whole product.
+_KARATSUBA_LEAF_BITS = 30720
 _NIBBLE_WINDOW_BITS = 896
+_WIDE_COMB_BITS = 3456
 _COMB_BLOCK = 64
+_WIDE_COMB_BLOCK = 16
 
 _LOW_NIBBLE = bytes(w & 15 for w in range(256))
 _HIGH_NIBBLE = bytes(w >> 4 for w in range(256))
@@ -198,8 +206,11 @@ def _comb_int(a: int, b: int) -> int:
     :func:`_comb_leaf`: at equal widths, those up to the leaf width; at
     unequal ones also those where b1 would be at most about half a leaf
     wide, such as a key of half the width (there the split's two half
-    products cost as much as one comb over a's full width, or more).
-    Every branch depends on the operands' bit lengths only.
+    products cost as much as one comb over a's full width, or more). The
+    comb shifts its partial product once per window of b up to about 3.5
+    kbit of b, and once per 64 bits of b above (:func:`_comb_wide`), so
+    every leaf of a split product takes the 64-bit steps. Every branch
+    depends on the operands' bit lengths only.
     """
     if a.bit_length() < b.bit_length():
         a, b = b, a
@@ -218,24 +229,22 @@ def _comb_int(a: int, b: int) -> int:
 def _comb_leaf(a: int, b: int) -> int:
     """Carry-less product of a by a no wider b (windowed comb).
 
-    Tabulates a*w for every k-bit window w, one XOR per entry, with k = 4
-    or 8 by the width of b. Then walks every window of b, top first, in
-    blocks: within a block, part = part x^k + a*w (Horner's rule), and
-    each finished block is added into the product once, shifted into
-    place. No window is skipped, whatever its value.
+    Up to _WIDE_COMB_BITS of b, tabulates a*w for every k-bit window w,
+    one XOR per entry, with k = 4 or 8 by the width of b. Then walks every
+    window of b, top first, in blocks: within a block, part = part x^k +
+    a*w (Horner's rule), and each finished block is added into the product
+    once, shifted into place. A wider b goes to :func:`_comb_wide`, which
+    shifts once per 64 bits of b instead of once per window. No window is
+    skipped, whatever its value.
     """
     nb = b.bit_length()
+    if nb > _WIDE_COMB_BITS:
+        return _comb_wide(a, b)
     k = 8 if nb > _NIBBLE_WINDOW_BITS else 4
-    table = [0]
-    for j in range(k):
-        aj = a << j
-        table += [t ^ aj for t in table]
+    table = _window_table(a, k)
     windows = b.to_bytes((nb + 7) // 8, "little")
     if k == 4:
-        nibbles = bytearray(2 * len(windows))
-        nibbles[0::2] = windows.translate(_LOW_NIBBLE)
-        nibbles[1::2] = windows.translate(_HIGH_NIBBLE)
-        windows = nibbles
+        windows = _nibbles(windows)
     acc = 0
     for s in range(0, len(windows), _COMB_BLOCK):
         part = 0
@@ -243,6 +252,52 @@ def _comb_leaf(a: int, b: int) -> int:
             part = (part << k) ^ table[w]
         acc ^= part << (k * s)
     return acc
+
+
+def _comb_wide(a: int, b: int) -> int:
+    """Carry-less product of a by a no wider b, 64 bits of b a step.
+
+    Tabulates T_j[w] = a*w*x^(4j) for every nibble w and each j < 16: 256
+    entries from 240 XORs, as many as one 8-bit window table. Then walks
+    b a 64-bit word at a time, top first, in blocks of _WIDE_COMB_BLOCK
+    words: part = part x^64 + the sum of T_j[nibble j of the word]
+    (Horner's rule). A word costs one shift of the partial product and 16
+    XORs of table entries, where 8-bit windows cost eight shifts and eight
+    XORs, and a shift of a big int costs two to four XORs.
+    """
+    (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14,
+     t15) = (_window_table(a, 4, j) for j in range(0, 64, 4))
+    nwords = (b.bit_length() + 63) // 64
+    nibbles = _nibbles(b.to_bytes(8 * nwords, "little"))
+    words = list(zip(*(nibbles[j::16] for j in range(16))))
+    acc = 0
+    for s in range(0, nwords, _WIDE_COMB_BLOCK):
+        part = 0
+        for (w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14,
+             w15) in reversed(words[s:s + _WIDE_COMB_BLOCK]):
+            part = (t0[w0] ^ t1[w1] ^ t2[w2] ^ t3[w3] ^ t4[w4] ^ t5[w5]
+                    ^ t6[w6] ^ t7[w7] ^ t8[w8] ^ t9[w9] ^ t10[w10]
+                    ^ t11[w11] ^ t12[w12] ^ t13[w13] ^ t14[w14] ^ t15[w15]
+                    ^ (part << 64))
+        acc ^= part << (64 * s)
+    return acc
+
+
+def _window_table(a: int, k: int, low: int = 0) -> list[int]:
+    """a*w*x^low for every k-bit w, at index w; one XOR per entry."""
+    table = [0]
+    for j in range(low, low + k):
+        aj = a << j
+        table += [t ^ aj for t in table]
+    return table
+
+
+def _nibbles(raw: bytes) -> bytearray:
+    """The nibbles of little-endian bytes, low nibble of each byte first."""
+    out = bytearray(2 * len(raw))
+    out[0::2] = raw.translate(_LOW_NIBBLE)
+    out[1::2] = raw.translate(_HIGH_NIBBLE)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -169,22 +169,35 @@ def test_clmul_comb_matches_schoolbook_at_byte_edges():
 
 LEAF = gf2._KARATSUBA_LEAF_BITS
 NIBBLE = gf2._NIBBLE_WINDOW_BITS
+WIDE = gf2._WIDE_COMB_BITS
 
-# Widths at the kernel's switches, where the comb's window widens and where
-# products split once (just above the leaf) or twice (from 2*leaf + 1),
-# and the widths the scheme multiplies at.
-SPLIT_WIDTHS = (NIBBLE, NIBBLE + 1, LEAF - 1, LEAF, LEAF + 1,
-                2 * LEAF - 1, 2 * LEAF + 1, 16397, 32768)
+# Widths at the kernel's switches, where the comb's window widens (4 to 8
+# bits, then 64-bit steps) and where products split once (just above the
+# leaf) or twice (from 2*leaf + 1); widths at and one bit either side of a
+# whole number of 64-bit steps (96 and 192 words); and the widths the
+# scheme multiplies at.
+SPLIT_WIDTHS = (NIBBLE, NIBBLE + 1, WIDE - 1, WIDE, WIDE + 1,
+                6143, 6144, 6145, 12287, 12289,
+                LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 2 * LEAF + 1,
+                16397, 32768)
 # Unequal widths split while 2*nb > na + LEAF, so the narrower operand's
 # top half b1 is never empty in a split; the shortest b1 that splits
 # (LEAF/2 bits, at the 2*LEAF + 1 rows) and the longest that does not
-# are both here.
+# are both here. The comb's step follows the narrower operand alone, so
+# a wider operand past a switch does not move it.
 SPLIT_UNEQUAL = (
     (32768, 16397),  # criterion 08's baseline: r times a half-width key
     (2 * LEAF + 1, (3 * LEAF) // 2 + 1),  # splits at LEAF + 1, short b1
     (2 * LEAF + 1, (3 * LEAF) // 2),  # one bit narrower: no split
     (LEAF + 1, LEAF),  # no split
     (3 * LEAF, 13),  # a narrow window over a wide table
+    (WIDE + 1, WIDE),  # only the wider operand past WIDE: 8-bit windows
+    (LEAF + 1, WIDE + 1),  # 64-bit steps, wider operand past the leaf
+    (3 * LEAF, WIDE),  # 8-bit windows over a table three leaves wide
+    (6145, 6144),  # whole 64-bit steps, the wider one bit past them
+    (12289, 9216),  # the same at 192 and 144 words
+    (12289, 9217),  # both one bit past whole steps
+    (18432, 13),  # one 4-bit window pass over a 288-word table
 )
 
 
@@ -204,7 +217,7 @@ def test_clmul_matches_shift_xor_across_the_karatsuba_split(na, nb):
             assert clmul(BitPoly(a, na), wide_b) == BitPoly(want, 2 * na)
 
 
-@pytest.mark.parametrize("width", [NIBBLE + 1, LEAF + 1])
+@pytest.mark.parametrize("width", [NIBBLE + 1, WIDE + 1, 6145, LEAF + 1])
 def test_clmul_special_operands_above_each_switch(width):
     rng = random.Random(width)
     ops = _comb_operands(width, rng)

@@ -1,6 +1,7 @@
 """Wire-format tests: the frozen golden vector, byte layout, round-trips,
 and the malformed-input classification ladder."""
 
+import pickle
 import random
 
 import pytest
@@ -66,6 +67,33 @@ def test_golden_vector_deserializes():
     c = deserialize(GOLDEN_BLOB)
     assert c == golden_ciphertext()
     assert decrypt(GOLDEN_KEY, c) == GOLDEN_X
+
+
+def test_deserialize_validates_the_sizes_once(monkeypatch):
+    # the sizes that cut the fields are the ciphertext's own: (n, ell,
+    # mode) is validated once, and no field width is checked again
+    inits, width_checks = [], []
+    init, check_widths = ExpansionParams.__init__, ExpansionParams.check_widths
+
+    def counted_init(self, *args):
+        inits.append(args)
+        init(self, *args)
+
+    def counted_check_widths(self, **fields):
+        width_checks.append(sorted(fields))
+        check_widths(self, **fields)
+
+    monkeypatch.setattr(ExpansionParams, "__init__", counted_init)
+    monkeypatch.setattr(ExpansionParams, "check_widths", counted_check_widths)
+    c = deserialize(GOLDEN_BLOB)
+    assert inits == [(16, 9, Mode.CLASSICAL)]
+    assert width_checks == []
+    monkeypatch.undo()
+    want = golden_ciphertext()
+    assert type(c) is Ciphertext
+    assert c == want and hash(c) == hash(want) and repr(c) == repr(want)
+    assert pickle.loads(pickle.dumps(c)) == want
+    assert c.lam == 9 and c.tail_len == 7 and c.out_len == 16
 
 
 @pytest.mark.parametrize("n,ell", [(1, 1), (8, 1), (8, 8), (16, 9),
