@@ -173,8 +173,9 @@ class Ciphertext(ExpansionParams):
     def _of_sized(cls, sizes: ExpansionParams, u: BitPoly, v: BitPoly,
                   payload: BitPoly) -> "Ciphertext":
         """The ciphertext of checked sizes and of fields that already have
-        their widths, as :func:`deserialize` cuts them: nothing is checked
-        again."""
+        their widths, as :func:`deserialize` cuts them and
+        :func:`encrypt_with` and :func:`quantum_keytag_with` compute them:
+        nothing is checked again."""
         c = object.__new__(cls)
         for name, value in zip(cls._fields, (sizes.n, sizes.ell, sizes.mode,
                                              u, v, payload)):
@@ -194,8 +195,7 @@ def encrypt_with(key: BitPoly, x: BitPoly, params: ExpansionParams,
         raise PreconditionError("encrypt applies to classical mode only")
     params.check_widths(plaintext=x)
     pad = expand_affine(key, u, v, params)
-    return Ciphertext(n=params.n, ell=params.ell, mode=params.mode,
-                      u=u, v=v, payload=x ^ pad)
+    return Ciphertext._of_sized(params, u, v, x ^ pad)
 
 
 def encrypt(key: BitPoly, x: BitPoly, params: ExpansionParams,
@@ -223,8 +223,7 @@ def quantum_keytag_with(key: BitPoly, params: ExpansionParams, u: BitPoly,
     if params.mode is not Mode.QUANTUM:
         raise PreconditionError("key tags require quantum mode")
     beta = expand_affine(key, u, v, params)
-    return Ciphertext(n=params.n, ell=params.ell, mode=params.mode,
-                      u=u, v=v, payload=beta)
+    return Ciphertext._of_sized(params, u, v, beta)
 
 
 def quantum_keytag(key: BitPoly, params: ExpansionParams,

@@ -112,13 +112,16 @@ def _method(text: str):
 def _default_budget() -> int:
     from . import statlab
     env = os.environ.get("ENTROSEAL_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParameterError(
-                f"ENTROSEAL_BUDGET must be an integer, got {env!r}")
-    return statlab.DEFAULT_BUDGET
+    if not env:
+        return statlab.DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        raise ParameterError(
+            f"ENTROSEAL_BUDGET must be an integer, got {env!r}")
+    if budget < 0:
+        raise ParameterError(f"ENTROSEAL_BUDGET must be >= 0, got {budget}")
+    return budget
 
 
 def _read_file(path: str) -> bytes:
@@ -291,13 +294,13 @@ def _gf2_suite(seed: int) -> list[Check]:
                     p, ck.ands, ck.xors)
     # Values only past the comb's 8-bit windows, where the counted
     # references are too slow: a product on 64-bit steps just past their
-    # switch, the same steps over a table three leaves wide, one product
-    # that splits, and a wide operand against one narrow enough for 4-bit
-    # windows over several blocks. Their own stream keeps the draws of the
-    # others.
-    leaf, wide = gf2._KARATSUBA_LEAF_BITS, gf2._WIDE_COMB_BITS
-    wide_pairs = ((wide + 5, wide + 5), (3 * leaf, wide + 1),
-                  (leaf + 3, leaf + 3), (2 * leaf + 9, 301))
+    # switch, the same steps over a 92160-bit table, a product of two
+    # operands near the widest table degree (32768), and a wide operand
+    # against one narrow enough for 4-bit windows over several blocks.
+    # Their own stream keeps the draws of the others.
+    wide = gf2._WIDE_COMB_BITS
+    wide_pairs = ((wide + 5, wide + 5), (92160, wide + 1),
+                  (30723, 30723), (61449, 301))
     wide_rng = random.Random(f"wide-{seed}")
     for na, nb in wide_pairs:
         for _ in range(3):
@@ -429,7 +432,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks = _gf2_suite(args.seed)
     elif args.suite == "classical":
         # the classical suite is exact: it takes a budget, not a seed
-        checks = _classical_suite(args.budget or _default_budget())
+        budget = _default_budget() if args.budget is None else args.budget
+        checks = _classical_suite(budget)
     else:
         checks = _quantum_suite(args.seed)
     if args.format == "json":
@@ -491,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("gf2", "classical", "quantum"))
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--budget", type=_non_negative_int, default=0,
+    p.add_argument("--budget", type=_non_negative_int, default=None,
                    help="enumeration budget in weighted terms "
                         "(default: ENTROSEAL_BUDGET or 2^30)")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -7,14 +7,13 @@ Computing and counting are separate: :func:`clmul`, :func:`reduce_mod`
 and :func:`gf_mul` return only the exact product, while :func:`clmul_cost`
 and :func:`reduce_cost` count the two-input AND and XOR gates a hardware
 realization of the chosen :class:`Backend` would use. Every product is
-evaluated by one kernel: wide products split Karatsuba-style down to a
-leaf width, and each leaf is a windowed comb (Horner's rule over a table
-of multiples of the wider operand). A comb over a narrower operand of
-more than about 3.5 kbit reads it 64 bits a step through 16 nibble tables,
-so that each step costs one big-int shift, not eight (Lopez & Dahab,
-INDOCRYPT 2000). ``Backend`` is still only the count model. The counting
-rules are mirrored bit-serially in :mod:`entroseal.gf2ref` and the two
-are tested against each other.
+evaluated by one windowed comb (Horner's rule over a table of multiples
+of the wider operand), with no Karatsuba split. A comb over a narrower
+operand of more than about 3.5 kbit reads it 64 bits a step through 16
+nibble tables, so that each step costs one big-int shift, not eight
+(Lopez & Dahab, INDOCRYPT 2000). Karatsuba is only a count model
+(``Backend.KARATSUBA``). The counting rules are mirrored bit-serially in
+:mod:`entroseal.gf2ref` and the two are tested against each other.
 
 One loop, :func:`_square_mod`, computes every remainder and every square
 modulo f: :func:`reduce_mod` and every step and product of the Frobenius
@@ -174,18 +173,15 @@ class Backend(enum.Enum):
     KARATSUBA = "karatsuba"
 
 
-# The carry-less kernel's constants, each picked by an interleaved timing
-# sweep: products of two equal widths above _KARATSUBA_LEAF_BITS are split
-# Karatsuba-style (see _comb_int for unequal widths); a comb leaf uses
-# 4-bit windows while the narrower operand has up to _NIBBLE_WINDOW_BITS
-# (its 16-entry table is cheaper to build than 256 entries, which only pay
-# off over many bytes), 8-bit windows up to _WIDE_COMB_BITS and 64-bit
-# Horner steps above (where the seven big-int shifts they save per 64 bits
-# cost more than the eight XORs they add). Horner's rule runs over blocks
-# of _COMB_BLOCK windows or _WIDE_COMB_BLOCK 64-bit words, so that each
-# step shifts a value about as wide as the wider operand rather than the
-# whole product.
-_KARATSUBA_LEAF_BITS = 30720
+# The carry-less comb's constants, each picked by an interleaved timing
+# sweep: it uses 4-bit windows while the narrower operand has up to
+# _NIBBLE_WINDOW_BITS (its 16-entry table is cheaper to build than 256
+# entries, which only pay off over many bytes), 8-bit windows up to
+# _WIDE_COMB_BITS and 64-bit Horner steps above (where the seven big-int
+# shifts they save per 64 bits cost more than the eight XORs they add).
+# Horner's rule runs over blocks of _COMB_BLOCK windows or
+# _WIDE_COMB_BLOCK 64-bit words, so that each step shifts a value about as
+# wide as the wider operand rather than the whole product.
 _NIBBLE_WINDOW_BITS = 896
 _WIDE_COMB_BITS = 3456
 _COMB_BLOCK = 64
@@ -196,47 +192,21 @@ _HIGH_NIBBLE = bytes(w >> 4 for w in range(256))
 
 
 def _comb_int(a: int, b: int) -> int:
-    """Carry-less product of two coefficient masks.
+    """Carry-less product of two coefficient masks (windowed comb).
 
-    With a the wider operand, of width na, and b of width nb: while
-    2 nb > na + leaf width, splits both at m = ceil(na/2), a = a1 x^m + a0
-    and b = b1 x^m + b0, and recurses into three half products
-    (Karatsuba): a b = a1 b1 x^2m + ((a0 + a1)(b0 + b1) + a0 b0 + a1 b1)
-    x^m + a0 b0. Other products go to the windowed comb,
-    :func:`_comb_leaf`: at equal widths, those up to the leaf width; at
-    unequal ones also those where b1 would be at most about half a leaf
-    wide, such as a key of half the width (there the split's two half
-    products cost as much as one comb over a's full width, or more). The
-    comb shifts its partial product once per window of b up to about 3.5
-    kbit of b, and once per 64 bits of b above (:func:`_comb_wide`), so
-    every leaf of a split product takes the 64-bit steps. Every branch
-    depends on the operands' bit lengths only.
+    With a the wider operand and b the narrower, of width nb: up to
+    _WIDE_COMB_BITS of b, tabulates a*w for every k-bit window w, one XOR
+    per entry, with k = 4 or 8 by nb. Then walks every window of b, top
+    first, in blocks: within a block, part = part x^k + a*w (Horner's
+    rule), and each finished block is added into the product once, shifted
+    into place. A wider b goes to :func:`_comb_wide`, which shifts once per
+    64 bits of b instead of once per window. No window is skipped, whatever
+    its value, and every branch depends on the operands' bit lengths only.
+    The time grows with the product of the widths: there is no Karatsuba
+    split, which would only pay off once b is wider than about 40 kbit.
     """
     if a.bit_length() < b.bit_length():
         a, b = b, a
-    if 2 * b.bit_length() <= a.bit_length() + _KARATSUBA_LEAF_BITS:
-        return _comb_leaf(a, b)
-    m = (a.bit_length() + 1) // 2
-    mask = (1 << m) - 1
-    a0, a1 = a & mask, a >> m
-    b0, b1 = b & mask, b >> m
-    lo = _comb_int(a0, b0)
-    hi = _comb_int(a1, b1)
-    mid = _comb_int(a0 ^ a1, b0 ^ b1) ^ lo ^ hi
-    return lo ^ (mid << m) ^ (hi << (2 * m))
-
-
-def _comb_leaf(a: int, b: int) -> int:
-    """Carry-less product of a by a no wider b (windowed comb).
-
-    Up to _WIDE_COMB_BITS of b, tabulates a*w for every k-bit window w,
-    one XOR per entry, with k = 4 or 8 by the width of b. Then walks every
-    window of b, top first, in blocks: within a block, part = part x^k +
-    a*w (Horner's rule), and each finished block is added into the product
-    once, shifted into place. A wider b goes to :func:`_comb_wide`, which
-    shifts once per 64 bits of b instead of once per window. No window is
-    skipped, whatever its value.
-    """
     nb = b.bit_length()
     if nb > _WIDE_COMB_BITS:
         return _comb_wide(a, b)
@@ -339,9 +309,9 @@ def clmul_cost(na: int, nb: int, backend: Backend = Backend.SCHOOLBOOK) -> OpCou
 def clmul(a: BitPoly, b: BitPoly) -> BitPoly:
     """Carry-less (polynomial) product, of width ``a.nbits + b.nbits``.
 
-    Evaluated by :func:`_comb_int` (a Karatsuba split over windowed comb
-    leaves) in one call, whatever the width; gate counts come from
-    :func:`clmul_cost`.
+    Evaluated by one windowed comb, :func:`_comb_int`, whatever the
+    width; gate counts come from :func:`clmul_cost`, whose Karatsuba
+    backend only counts a split that is never evaluated.
     """
     return BitPoly(_comb_int(a.value, b.value), a.nbits + b.nbits)
 

@@ -464,6 +464,24 @@ class TestVerify:
         assert rc == 2
         assert "ENTROSEAL_BUDGET" in err
 
+    def test_negative_budget_env_var_is_refused(self, capsys, monkeypatch):
+        # refused up front, naming the variable, as --budget -5 is
+        monkeypatch.setenv("ENTROSEAL_BUDGET", "-5")
+        rc, out, err = run(capsys, ["verify", "classical"])
+        assert rc == 2
+        assert "ENTROSEAL_BUDGET must be >= 0, got -5" in err
+        assert out == ""
+
+    def test_budget_flag_zero_refuses_every_enumeration(self, capsys,
+                                                        monkeypatch):
+        # 0 is a budget, not a missing flag: it beats the variable and
+        # the default
+        monkeypatch.setenv("ENTROSEAL_BUDGET", str(1 << 30))
+        rc, out, err = run(capsys, ["verify", "classical", "--budget", "0"])
+        assert rc == 2
+        assert "configured budget is 0" in err
+        assert out == ""
+
     @pytest.mark.parametrize("suite", ["gf2", "quantum"])
     def test_only_the_classical_suite_reads_the_budget(self, capsys,
                                                        monkeypatch, suite):

@@ -167,33 +167,32 @@ def test_clmul_comb_matches_schoolbook_at_byte_edges():
             assert prod == BitPoly(want, na + nb), (na, nb, hex(a), hex(b))
 
 
-LEAF = gf2._KARATSUBA_LEAF_BITS
+# A width just under the widest table degree, 32768; the rows built on it
+# cover products of one and two such widths and tables three times as wide.
+BIG = 30720
 NIBBLE = gf2._NIBBLE_WINDOW_BITS
 WIDE = gf2._WIDE_COMB_BITS
 
-# Widths at the kernel's switches, where the comb's window widens (4 to 8
-# bits, then 64-bit steps) and where products split once (just above the
-# leaf) or twice (from 2*leaf + 1); widths at and one bit either side of a
-# whole number of 64-bit steps (96 and 192 words); and the widths the
-# scheme multiplies at.
+# Widths at the comb's switches, where its window widens (4 to 8 bits,
+# then 64-bit steps); widths at and one bit either side of a whole number
+# of 64-bit steps (96 and 192 words); wide squares up to about twice the
+# widest table degree; and the widths the scheme multiplies at.
 SPLIT_WIDTHS = (NIBBLE, NIBBLE + 1, WIDE - 1, WIDE, WIDE + 1,
                 6143, 6144, 6145, 12287, 12289,
-                LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 2 * LEAF + 1,
+                BIG - 1, BIG, BIG + 1, 2 * BIG - 1, 2 * BIG + 1,
                 16397, 32768)
-# Unequal widths split while 2*nb > na + LEAF, so the narrower operand's
-# top half b1 is never empty in a split; the shortest b1 that splits
-# (LEAF/2 bits, at the 2*LEAF + 1 rows) and the longest that does not
-# are both here. The comb's step follows the narrower operand alone, so
-# a wider operand past a switch does not move it.
+# The comb's step follows the narrower operand alone, so a wider operand
+# past a switch does not move it; the kernel swaps so that either operand
+# order reaches the same comb.
 SPLIT_UNEQUAL = (
     (32768, 16397),  # criterion 08's baseline: r times a half-width key
-    (2 * LEAF + 1, (3 * LEAF) // 2 + 1),  # splits at LEAF + 1, short b1
-    (2 * LEAF + 1, (3 * LEAF) // 2),  # one bit narrower: no split
-    (LEAF + 1, LEAF),  # no split
-    (3 * LEAF, 13),  # a narrow window over a wide table
+    (2 * BIG + 1, (3 * BIG) // 2 + 1),  # about three quarters as wide
+    (2 * BIG + 1, (3 * BIG) // 2),  # the same, one bit narrower
+    (BIG + 1, BIG),  # near-equal wide widths
+    (3 * BIG, 13),  # a narrow window over a wide table
     (WIDE + 1, WIDE),  # only the wider operand past WIDE: 8-bit windows
-    (LEAF + 1, WIDE + 1),  # 64-bit steps, wider operand past the leaf
-    (3 * LEAF, WIDE),  # 8-bit windows over a table three leaves wide
+    (BIG + 1, WIDE + 1),  # 64-bit steps over a wide table
+    (3 * BIG, WIDE),  # 8-bit windows over a table three times as wide
     (6145, 6144),  # whole 64-bit steps, the wider one bit past them
     (12289, 9216),  # the same at 192 and 144 words
     (12289, 9217),  # both one bit past whole steps
@@ -217,7 +216,7 @@ def test_clmul_matches_shift_xor_across_the_karatsuba_split(na, nb):
             assert clmul(BitPoly(a, na), wide_b) == BitPoly(want, 2 * na)
 
 
-@pytest.mark.parametrize("width", [NIBBLE + 1, WIDE + 1, 6145, LEAF + 1])
+@pytest.mark.parametrize("width", [NIBBLE + 1, WIDE + 1, 6145, BIG + 1])
 def test_clmul_special_operands_above_each_switch(width):
     rng = random.Random(width)
     ops = _comb_operands(width, rng)
@@ -228,8 +227,8 @@ def test_clmul_special_operands_above_each_switch(width):
 
 
 def test_gf_mul_enters_clmul_once_at_the_widest_table_degree(monkeypatch):
-    # the Karatsuba recursion stays inside the int kernel, so a traced
-    # clmul sees exactly one call per field product
+    # a traced clmul sees exactly one call per field product, and that
+    # call is one comb over the full width: the kernel does not split
     calls, kernel_calls = [], []
     clmul_real, kernel_real = gf2.clmul, gf2._comb_int
 
@@ -248,7 +247,7 @@ def test_gf_mul_enters_clmul_once_at_the_widest_table_degree(monkeypatch):
     a, b = (BitPoly(rng.getrandbits(32768), 32768) for _ in range(2))
     prod = gf_mul(a, b, spec)
     assert calls == [(32768, 32768)]
-    assert len(kernel_calls) > 1  # the product did split
+    assert len(kernel_calls) == 1
     want = BitPoly(clmul_shift_xor(a.value, b.value), 65536)
     assert prod == reduce_mod(want, spec)
 

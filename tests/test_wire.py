@@ -71,7 +71,11 @@ def test_golden_vector_deserializes():
 
 def test_deserialize_validates_the_sizes_once(monkeypatch):
     # the sizes that cut the fields are the ciphertext's own: (n, ell,
-    # mode) is validated once, and no field width is checked again
+    # mode) is validated once, and no field width is checked again; a
+    # ciphertext that encrypt or quantum_keytag builds re-validates no size
+    # and checks each input width once, not its fields again
+    exp = ExpansionParams.classical(16, 9)
+    qexp = ExpansionParams(8, 9, Mode.QUANTUM)
     inits, width_checks = [], []
     init, check_widths = ExpansionParams.__init__, ExpansionParams.check_widths
 
@@ -88,7 +92,19 @@ def test_deserialize_validates_the_sizes_once(monkeypatch):
     c = deserialize(GOLDEN_BLOB)
     assert inits == [(16, 9, Mode.CLASSICAL)]
     assert width_checks == []
+    del inits[:]
+    enc = encrypt(GOLDEN_KEY, GOLDEN_X, exp, RandomSource(42))
+    tag = quantum_keytag(GOLDEN_KEY, qexp, RandomSource(42))
+    assert inits == []
+    assert width_checks == [["plaintext"], ["key", "u", "v"],
+                            ["key", "u", "v"]]
     monkeypatch.undo()
+    for built, sizes in ((enc, exp), (tag, qexp)):
+        assert type(built) is Ciphertext
+        assert (built.n, built.ell, built.mode) == (sizes.n, sizes.ell,
+                                                    sizes.mode)
+        assert built == Ciphertext(sizes.n, sizes.ell, sizes.mode, built.u,
+                                   built.v, built.payload)
     want = golden_ciphertext()
     assert type(c) is Ciphertext
     assert c == want and hash(c) == hash(want) and repr(c) == repr(want)
