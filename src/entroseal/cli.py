@@ -24,6 +24,7 @@ one ``PASS|FAIL name k=v ...`` line each, ending in
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import random
 import stat
@@ -345,6 +346,27 @@ def _gf2_suite(seed: int) -> list[Check]:
     out.append(Check("trinomial-parity-vs-division",
                      {"n": "2..20", "k": "1..n-1", "rejected": rejected},
                      ok and rejected > 0))
+
+    # Every pentanomial the parity test decides gets the verdict that
+    # Berlekamp's factor count gives: dropped exactly when it has a
+    # repeated factor or an even number of factors. It leaves one
+    # undecided only when lam and a are both even.
+    ok = True
+    candidates = rejected = 0
+    for lam in range(5, 25):
+        for a, b, c in itertools.combinations(range(lam - 1, 0, -1), 3):
+            candidates += 1
+            verdict = gf2._stickelberger_reducible(lam, a, b, c)
+            if verdict is None:
+                ok &= lam % 2 == 0 and a % 2 == 0
+                continue
+            count = gf2ref.factor_count_berlekamp(
+                (1 << lam) | (1 << a) | (1 << b) | (1 << c) | 1)
+            ok &= verdict == (count is None or count % 2 == 0)
+            rejected += verdict
+    out.append(Check("pentanomial-parity-vs-berlekamp",
+                     {"lam": "5..24", "candidates": candidates,
+                      "rejected": rejected}, ok and rejected > 0))
 
     # The Frobenius walk must reject a planted factor of degree from one
     # above the sieve's reach up to D at its step-D checkpoint; division

@@ -24,16 +24,19 @@ the fixed round structure of the counted network.
 :func:`find_irreducible` picks each field's modulus on one path: a table
 of precomputed moduli or else a scan, cached per degree by ``lru_cache``,
 with every modulus turned into a :class:`FieldSpec` by one constructor.
-The scan first drops the trinomials Swan's theorem proves reducible,
-from their exponents alone, then tests each candidate with a
-small-factor sieve (factors of degree <= 10), then with one walk of the
-Frobenius map, :func:`_frobenius_walk`: Rabin's test, with a gcd at step
-48 that rejects small factors early (from degree 49 up). The first two
-only skip reducible candidates, so the modulus is Rabin's verdict
-alone, and :func:`is_irreducible` takes the same walk. Only the standard
-library is used: squares are spread a byte at a time through
-``bytes.translate`` tables into one reused buffer, and the sieve's tables
-are 16-bit ``array`` views.
+The scan takes four steps per candidate: it drops the trinomials Swan's
+theorem proves reducible, from their exponents alone; it sieves out
+factors of degree <= 10; it drops the pentanomials whose discriminant
+mod 8 shows a repeated factor or an even number of factors
+(Stickelberger's theorem, undecided when the degree and the second
+exponent are both even); and it walks the Frobenius map once,
+:func:`_frobenius_walk`: Rabin's test, with a gcd at step 48 that
+rejects small factors early (from degree 49 up). The first three only
+skip reducible candidates, so the modulus is Rabin's verdict alone, and
+:func:`is_irreducible` takes the same walk. Only the standard library is
+used: squares are spread a byte at a time through ``bytes.translate``
+tables into one reused buffer, and the sieve's tables are 16-bit
+``array`` views.
 """
 
 from __future__ import annotations
@@ -697,11 +700,106 @@ def _swan_reducible(n: int, k: int) -> bool:
     return n % 8 in (1, 7)
 
 
+def _stickelberger_reducible(n: int, a: int, b: int, c: int) -> bool | None:
+    """Whether Stickelberger's theorem proves x^n + x^a + x^b + x^c + 1
+    (n > a > b > c > 0) reducible; None when it cannot tell.
+
+    For f over GF(2) of degree n with a monic lift F to Z[x], f has a
+    repeated factor exactly when disc(F) is even; otherwise disc(F) = 1
+    (mod 8) exactly when f's number of irreducible factors is = n (mod 2)
+    (Stickelberger 1897, as used by Swan, Pacific J. Math. 12, 1962). True
+    means a repeated factor or an even number of factors, False an odd
+    number (an irreducible f is always False).
+
+    x F'(x) = G(x) = (a-n) x^a + (b-n) x^b + (c-n) x^c - n (mod F), so
+    disc(F) = (-1)^(n(n-1)/2 + n) Res(F, G), a norm of degree a over Z/8
+    once G has a unit leading coefficient lc: directly when a - n is odd,
+    disc = (-1)^(n(n-1)/2 + n + na) lc^n det(F mod g) with g = G/lc; for
+    odd n, through the reciprocals x^a G(1/x) (lc = -n) and x^n F(1/x),
+    with sign (-1)^(n(n-1)/2 + n). With n and a both even neither applies.
+
+    The det is that of multiplication by F mod g on (Z/8)[x]/(g), with
+    x^n (or x^(n-a)) mod g by one square-and-multiply and the other terms
+    by short shifts, eliminated mod 8 on odd pivots; no odd pivot means an
+    even det. Polynomials over Z/8 are Python ints with one slot per
+    coefficient, wide enough that a product's sums never carry out of it.
+    """
+    direct = (n - a) % 2 == 1
+    if direct:
+        lc, tail = a - n, ((b, b - n), (c, c - n), (0, -n))
+    elif n % 2:
+        lc, tail = -n, ((a - b, b - n), (a - c, c - n), (0, a - n))
+    else:
+        return None
+    slot = 8 * -(-(64 * a).bit_length() // 8)
+    step = slot // 8
+    sevens = int.from_bytes(b"\x07".ljust(step, b"\0") * (2 * a), "little")
+    low = (1 << (slot * a)) - 1
+    # table[j] = x^(a+j) mod g up to x^(2a-2), the top of a product of two
+    # remainders: x^a = -lc^-1 (G - lc x^a), and lc^-1 = lc mod 8 (lc odd)
+    top = sum((-lc * t % 8) << (slot * e) for e, t in tail)
+    table = [top]
+    for _ in range(a - 2):
+        r = table[-1] << slot
+        table.append(((r & low) + (r >> (slot * a)) * top) & sevens)
+
+    def reduce(p: int) -> int:
+        p &= sevens
+        hi = p >> (slot * a)
+        if hi:
+            p &= low
+            for t, r in zip(hi.to_bytes(step * (a - 1), "little")[::step],
+                            table):
+                if t:
+                    p += t * r
+            p &= sevens
+        return p
+
+    def power(e: int) -> int:  # x^e mod g
+        s = max(e.bit_length() - a.bit_length() + 1, 0)
+        p = 1 << (slot * (e >> s))
+        for i in reversed(range(s)):
+            p = reduce(p * p)
+            if e >> i & 1:
+                p = reduce(p << slot)
+        return p
+
+    if direct:  # F = x^n + x^a + x^b + x^c + 1
+        h = power(n) + top + (1 << (slot * b)) + (1 << (slot * c)) + 1
+    else:  # x^n F(1/x) = x^n + x^(n-c) + x^(n-b) + x^(n-a) + 1
+        p = power(n - a)
+        h = 1 + p
+        for s in (a - b, b - c, c):
+            p = reduce(p << (slot * s))
+            h += p
+    rows = [h & sevens]
+    for _ in range(a - 1):
+        rows.append(reduce(rows[-1] << slot))
+    det = 1
+    for j in range(a):
+        shift = slot * j
+        for k, r in enumerate(rows):
+            if r >> shift & 1:
+                break
+        else:
+            return True  # det even: a repeated factor
+        pivot = rows.pop(k)
+        u = pivot >> shift & 7
+        det *= -u if k % 2 else u
+        for i, r in enumerate(rows):
+            e = r >> shift & 7
+            if e:  # r - (e/u) pivot, and 1/u = u mod 8
+                rows[i] = (r + (-e * u % 8) * pivot) & sevens
+    sign = (n * (n - 1) // 2 + n + (n * a if direct else 0)) % 2
+    disc = (-1) ** sign * lc ** (n % 2) * det
+    return disc % 8 != (1 if n % 2 else 5)
+
+
 def _scan_for_irreducible(lam: int) -> int:
     """First irreducible of degree lam in find_irreducible's scan order.
 
-    Each candidate meets up to three tests, cheapest first, and the first
-    one the walk finds irreducible is returned. The first two only ever
+    Each candidate meets up to four tests, cheapest first, and the first
+    one the walk finds irreducible is returned. The first three only ever
     reject reducible candidates, so they change the running time, never
     the answer:
 
@@ -710,7 +808,13 @@ def _scan_for_irreducible(lam: int) -> int:
        degrees, nearly all at degrees 3 or 5 mod 8 and every one when 8
        divides lam);
     2. the small-factor sieve (no factor of degree <= 10);
-    3. the Frobenius walk (:func:`_frobenius_walk`), Rabin's test and the
+    3. for a pentanomial x^lam + x^a + ..., the parity test
+       (:func:`_stickelberger_reducible`: Stickelberger's theorem, which
+       underlies Swan's rule, read from the discriminant mod 8 through a
+       norm of degree a); it drops a candidate with a repeated factor or
+       an even number of factors, and decides nothing when lam and a are
+       both even;
+    4. the Frobenius walk (:func:`_frobenius_walk`), Rabin's test and the
        only judge of irreducibility; from degree D + 1 = 49 up it rejects
        a candidate with a factor of degree <= D after D squares.
 
@@ -732,6 +836,9 @@ def _scan_for_irreducible(lam: int) -> int:
              if lam > _SmallFactorSieve.MAX_DEGREE else None)
     for f in itertools.chain(trinomials, pentanomials, masks):
         if sieve is not None and sieve.has_small_factor(f):
+            continue
+        if f.bit_count() == 5 and _stickelberger_reducible(
+                *_exponents_desc(f)[:4]):
             continue
         if _frobenius_walk(f, lam) == 0:
             return f

@@ -18,6 +18,7 @@ __all__ = [
     "polydivmod",
     "reduce_by_division",
     "irreducible_by_trial_division",
+    "factor_count_berlekamp",
     "smallest_irreducible_lowweight_exhaustive",
 ]
 
@@ -139,6 +140,37 @@ def irreducible_by_trial_division(f: int) -> bool:
         if g.bit_length() - 1 >= 1 and polydivmod(f, g)[1] == 0:
             return False
     return True
+
+
+def factor_count_berlekamp(f: int) -> int | None:
+    """Number of irreducible factors of a squarefree f, else None.
+
+    None unless gcd(f, f') = 1. Otherwise Berlekamp's count (Bell Syst.
+    Tech. J. 46, 1967): the nullity over GF(2) of Q - I, whose row i is
+    x^(2i) mod f plus x^i, for i below the degree of f. Shares no code
+    with the Frobenius walk in :mod:`entroseal.gf2`.
+    """
+    d = f.bit_length() - 1
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    odd = int("01" * (d // 2 + 1), 2)  # the coefficients of odd exponents
+    a, b = f, (f >> 1) & odd  # f' keeps them, one place down
+    while b:
+        a, b = b, polydivmod(a, b)[1]
+    if a != 1:
+        return None
+    basis: dict[int, int] = {}  # reduced rows by their leading bit
+    square = 1  # x^(2i) mod f
+    for i in range(d):
+        row = square ^ (1 << i)
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+        square = polydivmod(square << 2, f)[1]
+    return d - len(basis)
 
 
 def smallest_irreducible_lowweight_exhaustive(lam: int) -> int:

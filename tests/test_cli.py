@@ -568,7 +568,7 @@ class TestVerifyJson:
                     want = statlab.check_derived_sizing(
                         c["n"], c["t"], c["epsilon"])
                 assert (value, bound) == (want.value, want.bound)
-        assert counts == {"gf2": 7, "classical": 108, "quantum": 72}
+        assert counts == {"gf2": 8, "classical": 108, "quantum": 72}
 
 
 def _classical_family(n, label):
@@ -582,10 +582,11 @@ class TestVerifyGf2:
     def test_gf2_suite_passes(self, capsys, gf2_suite_once):
         rc, out, err = run(capsys, ["verify", "gf2"])
         assert rc == 0
-        assert "7/7 checks passed" in err
+        assert "8/8 checks passed" in err
         names = [line.split()[1] for line in out.splitlines()]
         assert "modulus-scan-vs-oracle" in names
         assert "trinomial-parity-vs-division" in names
+        assert "pentanomial-parity-vs-berlekamp" in names
         assert "early-abort-vs-division" in names
 
     def test_wrong_kernel_fails_instead_of_hanging(self):
@@ -609,6 +610,7 @@ sys.exit(cli.main(["verify", "gf2"]))
         assert verdicts["early-abort-vs-division"] == "FAIL"
         assert verdicts["backend-equivalence"] == "FAIL"
         assert verdicts["trinomial-parity-vs-division"] == "PASS"
+        assert verdicts["pentanomial-parity-vs-berlekamp"] == "PASS"
 
 
 class TestBench:

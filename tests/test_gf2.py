@@ -28,6 +28,7 @@ from entroseal.gf2ref import (
     clmul_karatsuba_counted,
     clmul_schoolbook_counted,
     clmul_shift_xor,
+    factor_count_berlekamp,
     irreducible_by_trial_division,
     polydivmod,
     reduce_by_division,
@@ -177,14 +178,14 @@ WIDE = gf2._WIDE_COMB_BITS
 # then 64-bit steps); widths at and one bit either side of a whole number
 # of 64-bit steps (96 and 192 words); wide squares up to about twice the
 # widest table degree; and the widths the scheme multiplies at.
-SPLIT_WIDTHS = (NIBBLE, NIBBLE + 1, WIDE - 1, WIDE, WIDE + 1,
-                6143, 6144, 6145, 12287, 12289,
-                BIG - 1, BIG, BIG + 1, 2 * BIG - 1, 2 * BIG + 1,
-                16397, 32768)
+SWITCH_WIDTHS = (NIBBLE, NIBBLE + 1, WIDE - 1, WIDE, WIDE + 1,
+                 6143, 6144, 6145, 12287, 12289,
+                 BIG - 1, BIG, BIG + 1, 2 * BIG - 1, 2 * BIG + 1,
+                 16397, 32768)
 # The comb's step follows the narrower operand alone, so a wider operand
 # past a switch does not move it; the kernel swaps so that either operand
 # order reaches the same comb.
-SPLIT_UNEQUAL = (
+SWITCH_UNEQUAL = (
     (32768, 16397),  # criterion 08's baseline: r times a half-width key
     (2 * BIG + 1, (3 * BIG) // 2 + 1),  # about three quarters as wide
     (2 * BIG + 1, (3 * BIG) // 2),  # the same, one bit narrower
@@ -200,8 +201,8 @@ SPLIT_UNEQUAL = (
 )
 
 
-@pytest.mark.parametrize("na,nb", [(w, w) for w in SPLIT_WIDTHS] + [
-    p for na, nb in SPLIT_UNEQUAL for p in ((na, nb), (nb, na))])
+@pytest.mark.parametrize("na,nb", [(w, w) for w in SWITCH_WIDTHS] + [
+    p for na, nb in SWITCH_UNEQUAL for p in ((na, nb), (nb, na))])
 def test_clmul_matches_shift_xor_across_the_karatsuba_split(na, nb):
     # a narrower operand also meets its value resized to the wider width,
     # as criterion 08 resizes its key; the value and product must not move
@@ -868,6 +869,55 @@ def test_swan_rejected_trinomials_reach_no_later_test(monkeypatch, lam):
     for mid in trinomials:
         k = mid.bit_length() - 1
         assert not gf2._swan_reducible(lam, k), (lam, k)
+
+
+def test_stickelberger_parity_matches_berlekamp_up_to_degree_32():
+    # every pentanomial of degree 5..32 against Berlekamp's factor count
+    # (None: a repeated factor); the parity test decides every one unless
+    # lam and a are both even, and drops one exactly when it has a
+    # repeated factor or an even number of factors
+    seen = set()
+    for lam in range(5, 33):
+        for a in range(3, lam):
+            for b in range(2, a):
+                for c in range(1, b):
+                    verdict = gf2._stickelberger_reducible(lam, a, b, c)
+                    if verdict is None:
+                        assert lam % 2 == 0 and a % 2 == 0, (lam, a, b, c)
+                        continue
+                    count = factor_count_berlekamp(
+                        (1 << lam) | (1 << a) | (1 << b) | (1 << c) | 1)
+                    assert verdict == (count is None or count % 2 == 0), \
+                        (lam, a, b, c, count)
+                    seen.add((verdict, count))
+    assert {(False, 1), (True, None), (True, 2), (False, 3)} <= seen
+
+
+@pytest.mark.parametrize("lam", [1083])
+def test_parity_test_spares_walks_of_sieved_pentanomials(monkeypatch, lam):
+    # counts work, not time: in one uncached scan, fewer pentanomials are
+    # walked than pass the sieve, and the answer is among those walked
+    # (the sieve's own tables, if built here, walk lower degrees)
+    passed, walked = [], []
+    has_small_factor = gf2._SmallFactorSieve.has_small_factor
+    walk = gf2._frobenius_walk
+
+    def sieve(self, f):
+        found = has_small_factor(self, f)
+        if not found and f.bit_count() == 5:
+            passed.append(f)
+        return found
+
+    def record(f, n):
+        if n == lam and f.bit_count() == 5:
+            walked.append(f)
+        return walk(f, n)
+    monkeypatch.setattr(gf2._SmallFactorSieve, "has_small_factor", sieve)
+    monkeypatch.setattr(gf2, "_frobenius_walk", record)
+    answer = find_irreducible.__wrapped__(lam).modulus.value
+    assert walked[-1] == answer == passed[-1]
+    assert set(walked) <= set(passed)
+    assert len(walked) < len(passed)
 
 
 # ---------------------------------------------------------------------------
