@@ -334,6 +334,14 @@ def _gf2_suite(seed: int) -> list[Check]:
         ok &= is_irreducible(BitPoly(got, lam + 1))
     out.append(Check("modulus-scan-vs-oracle", {"lam": "1..16"}, ok))
 
+    # Every table modulus has one irreducible factor by Berlekamp's count,
+    # which shares no code with the walk that chose it.
+    table = gf2._MODULUS_TABLE
+    ok = all(gf2ref.factor_count_berlekamp(gf2._poly(lam, rest)) == 1
+             for lam, rest in table.items())
+    out.append(Check("modulus-table-vs-berlekamp",
+                     {"lam": ",".join(map(str, table))}, ok))
+
     # Every trinomial Swan's rule drops from the scan is reducible.
     ok = True
     rejected = 0
@@ -374,7 +382,7 @@ def _gf2_suite(seed: int) -> list[Check]:
     # the walk's fold would never end on it.
     ok = True
     top = gf2._PREFILTER_DEGREE
-    low = gf2._SmallFactorSieve.MAX_DEGREE + 1
+    low = gf2._SIEVE_DEGREE + 1
     for lam in (61, 130, 411):
         for d in (low, 24, top):
             g = find_irreducible(d).modulus.value

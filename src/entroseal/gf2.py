@@ -22,15 +22,17 @@ value fits and divides a dense one out; only :func:`reduce_cost` knows
 the fixed round structure of the counted network.
 
 :func:`find_irreducible` picks each field's modulus on one path: a table
-of precomputed moduli or else a scan, cached per degree by ``lru_cache``,
-with every modulus turned into a :class:`FieldSpec` by one constructor.
-The scan takes four steps per candidate: it drops the trinomials Swan's
-theorem proves reducible, from their exponents alone; it sieves out
-factors of degree <= 10; it drops the pentanomials whose discriminant
-mod 8 shows a repeated factor or an even number of factors
-(Stickelberger's theorem, undecided when the degree and the second
-exponent are both even); and it walks the Frobenius map once,
-:func:`_frobenius_walk`: Rabin's test, with a gcd at step 48 that
+of precomputed moduli or else a scan, cached per degree by ``lru_cache``.
+Both give a modulus as its non-leading exponents, the table's row shape,
+from which one constructor builds the :class:`FieldSpec`. The scan
+carries each trinomial or pentanomial candidate as those exponents and
+raises if none is irreducible. It takes four steps per candidate: it
+drops the trinomials Swan's theorem proves reducible, from their
+exponents alone; it sieves out factors of degree <= 10; it drops the
+pentanomials whose discriminant mod 8 shows a repeated factor or an even
+number of factors (Stickelberger's theorem, undecided when the degree
+and the second exponent are both even); and it walks the Frobenius map
+once, :func:`_frobenius_walk`: Rabin's test, with a gcd at step 48 that
 rejects small factors early (from degree 49 up). The first three only
 skip reducible candidates, so the modulus is Rabin's verdict alone, and
 :func:`is_irreducible` takes the same walk. Only the standard library is
@@ -349,21 +351,14 @@ class FieldSpec(Record):
     @classmethod
     def from_modulus(cls, modulus: BitPoly) -> "FieldSpec":
         """The field of ``modulus``; raises unless it is irreducible."""
-        spec = cls._of_irreducible(modulus)
-        if not is_irreducible(spec.modulus):
-            raise PreconditionError(
-                f"{spec.modulus!r} is not irreducible over GF(2)")
-        return spec
-
-    @classmethod
-    def _of_irreducible(cls, modulus: BitPoly) -> "FieldSpec":
-        """The field of a modulus the caller knows to be irreducible."""
         lam = modulus.degree
         if lam < 1:
             raise PreconditionError("modulus must have degree >= 1")
         modulus = BitPoly(modulus.value, lam + 1)
-        rest = _exponents_desc(modulus.value ^ (1 << lam))
-        return cls(lam=lam, modulus=modulus, reduction_exponents=rest)
+        if not is_irreducible(modulus):
+            raise PreconditionError(
+                f"{modulus!r} is not irreducible over GF(2)")
+        return cls(lam, modulus, _exponents_desc(modulus.value ^ (1 << lam)))
 
 
 def reduce_cost(width: int, spec: FieldSpec) -> OpCount:
@@ -433,6 +428,11 @@ def _exponents_desc(v: int) -> tuple[int, ...]:
         out.append(e)
         v ^= 1 << e
     return tuple(out)
+
+
+def _poly(lam: int, exps: tuple[int, ...]) -> int:
+    """The mask of x^lam + sum(x^e for e in exps)."""
+    return (1 << lam) | sum(1 << e for e in exps)
 
 
 def _polygcd_int(a: int, b: int) -> int:
@@ -570,45 +570,39 @@ def is_irreducible(p: BitPoly) -> bool:
     return _frobenius_walk(f, d) == 0
 
 
-class _SmallFactorSieve:
-    """Fast divisibility checks against all irreducibles of degree <= 10.
+# Deeper tables mostly reject candidates that the walk's step-48 gcd would
+# reject soon after: scanning the 20 degrees 171 + 48i in a fresh process,
+# tables included, took 415, 407, 422 and 486 ms at depths 9, 10, 11 and 12
+# (medians of six interleaved runs; the tables alone took 5, 13, 41 and
+# 101 ms).
+_SIEVE_DEGREE = 10
+
+
+def _has_small_factor(exps: tuple[int, ...],
+                      sieve: list[tuple[int, memoryview, int]]) -> bool:
+    """Whether an irreducible of degree <= _SIEVE_DEGREE divides
+    x^lam + sum(x^e for e in exps), where exps ends in 0.
 
     For each small irreducible g, the powers x^e mod g cycle with period
-    ord(x) dividing 2^deg(g) - 1. The residue of a sparse candidate
-    x^lam + x^a + ... + 1 mod g is then a few table lookups and XORs; a
-    zero residue means g divides the candidate. Every candidate is odd, so
-    each table's per-lam base holds x^lam + 1 mod g.
+    ord(x) dividing 2^deg(g) - 1, so the residue of a sparse candidate mod
+    g is a few table lookups and XORs; a zero residue means g divides it.
+    ``sieve`` holds (period, x^e mod g for e < period, x^lam + 1 mod g)
+    per g: the tables of :func:`_sieve_cycles` and the scan's per-lam base.
     """
-
-    # Deeper tables mostly reject candidates that the walk's step-48 gcd
-    # would reject soon after: scanning the 20 degrees 171 + 48i in a fresh
-    # process, tables included, took 415, 407, 422 and 486 ms at depths 9,
-    # 10, 11 and 12 (medians of six interleaved runs; the tables alone
-    # took 5, 13, 41 and 101 ms).
-    MAX_DEGREE = 10
-
-    def __init__(self, lam: int):
-        self._ends = (1 << lam) | 1
-        self._tables = [(period, cyc, cyc[lam % period] ^ 1)
-                        for period, cyc in _sieve_cycles()]
-
-    def has_small_factor(self, f: int) -> bool:
-        """Whether an irreducible of degree <= 10 divides f (odd, degree lam)."""
-        exps = _exponents_desc(f ^ self._ends)
-        for period, cyc, base in self._tables:
-            r = base
-            for e in exps:
-                r ^= cyc[e % period]
-            if r == 0:
-                return True
-        return False
+    mid = exps[:-1]
+    for period, cyc, r in sieve:
+        for e in mid:
+            r ^= cyc[e % period]
+        if r == 0:
+            return True
+    return False
 
 
 @lru_cache(maxsize=1)
 def _sieve_cycles() -> tuple[tuple[int, memoryview], ...]:
     """(period, x^e mod g for e < period) per sieve irreducible g.
 
-    The g are the irreducibles of degree 1 .. MAX_DEGREE except x, in
+    The g are the irreducibles of degree 1 .. _SIEVE_DEGREE except x, in
     ascending order. Each table is one walk x^e -> x^(e+1) mod g (a shift
     and a conditional XOR) until it returns to 1, so its length is the
     order of x mod g. Independent of lam, so built once per process and
@@ -616,7 +610,7 @@ def _sieve_cycles() -> tuple[tuple[int, memoryview], ...]:
     entries).
     """
     out = []
-    for g in range(3, 1 << (_SmallFactorSieve.MAX_DEGREE + 1), 2):
+    for g in range(3, 1 << (_SIEVE_DEGREE + 1), 2):
         d = g.bit_length() - 1
         if not is_irreducible(BitPoly(g, d + 1)):
             continue
@@ -633,8 +627,10 @@ def _sieve_cycles() -> tuple[tuple[int, memoryview], ...]:
 # Moduli whose live search takes seconds to hours: lexicographically
 # smallest irreducible of minimal weight at each degree, found by the same
 # scan find_irreducible performs (trinomials in ascending middle exponent,
-# then pentanomials in ascending (a, b, c)). Each entry is re-verified for
-# irreducibility by the tests; the table only skips the scan.
+# then pentanomials in ascending (a, b, c)); each row is what
+# _scan_for_irreducible returns. Every entry is re-verified for
+# irreducibility by the tests and by Berlekamp's count in ``verify gf2``,
+# and the tests re-scan those up to 4096; the table only skips the scan.
 _MODULUS_TABLE: dict[int, tuple[int, ...]] = {
     1037: (12, 7, 2, 0),
     2048: (19, 14, 13, 0),
@@ -650,12 +646,13 @@ def find_irreducible(lam: int) -> FieldSpec:
     """Lexicographically smallest low-weight irreducible of degree lam.
 
     Scans trinomials x^lam + x^m + 1 for m = 1 .. lam-1, then pentanomials
-    x^lam + x^a + x^b + x^c + 1 over ascending (a, b, c), then arbitrary
-    odd masks, returning the first irreducible found. The constant term is
-    always 1 (a polynomial divisible by x is never irreducible for
-    lam >= 2), which for lam = 1 pins the choice to x + 1. How the scan
-    rejects candidates cheaply without changing its answer is described
-    in :func:`_scan_for_irreducible`.
+    x^lam + x^a + x^b + x^c + 1 over ascending (a, b, c), returning the
+    first irreducible found, and raises PreconditionError if there is
+    none (no such degree is known). The constant term is always 1 (a
+    polynomial divisible by x is never irreducible for lam >= 2), which
+    for lam = 1 pins the choice to x + 1. How the scan rejects candidates
+    cheaply without changing its answer is described in
+    :func:`_scan_for_irreducible`.
 
     Results are cached per degree (two threads may both compute a miss;
     the cache stays consistent); a handful of large degrees are served
@@ -667,11 +664,8 @@ def find_irreducible(lam: int) -> FieldSpec:
         raise PreconditionError(f"degree must be an int, got {lam!r}")
     if lam < 1:
         raise PreconditionError("degree must be >= 1")
-    if lam in _MODULUS_TABLE:
-        modulus = (1 << lam) | sum(1 << e for e in _MODULUS_TABLE[lam])
-    else:
-        modulus = _scan_for_irreducible(lam)
-    return FieldSpec._of_irreducible(BitPoly(modulus, lam + 1))
+    rest = _MODULUS_TABLE.get(lam) or _scan_for_irreducible(lam)
+    return FieldSpec(lam, BitPoly(_poly(lam, rest), lam + 1), rest)
 
 
 def _swan_reducible(n: int, k: int) -> bool:
@@ -795,19 +789,22 @@ def _stickelberger_reducible(n: int, a: int, b: int, c: int) -> bool | None:
     return disc % 8 != (1 if n % 2 else 5)
 
 
-def _scan_for_irreducible(lam: int) -> int:
-    """First irreducible of degree lam in find_irreducible's scan order.
+def _scan_for_irreducible(lam: int) -> tuple[int, ...]:
+    """Non-leading exponents of the first irreducible of degree lam in
+    find_irreducible's scan order, descending: a _MODULUS_TABLE row.
 
-    Each candidate meets up to four tests, cheapest first, and the first
-    one the walk finds irreducible is returned. The first three only ever
-    reject reducible candidates, so they change the running time, never
-    the answer:
+    Each candidate is carried as its exponents, (m, 0) or (a, b, c, 0),
+    and meets up to four tests, cheapest first; only one that reaches the
+    walk is built as a mask, and the first one the walk finds irreducible
+    is returned. The first three only ever reject reducible candidates,
+    so they change the running time, never the answer:
 
     1. for a trinomial, Swan's rule (:func:`_swan_reducible`, from the
        exponents alone; it drops about five eighths of them over all
        degrees, nearly all at degrees 3 or 5 mod 8 and every one when 8
        divides lam);
-    2. the small-factor sieve (no factor of degree <= 10);
+    2. the small-factor sieve (:func:`_has_small_factor`: no factor of
+       degree <= 10);
     3. for a pentanomial x^lam + x^a + ..., the parity test
        (:func:`_stickelberger_reducible`: Stickelberger's theorem, which
        underlies Swan's rule, read from the discriminant mod 8 through a
@@ -820,26 +817,30 @@ def _scan_for_irreducible(lam: int) -> int:
 
     Trinomials stop at m = lam/2: x^lam + x^m + 1 is irreducible exactly
     when its reciprocal x^lam + x^(lam-m) + 1 is, and that one came first.
+    At lam = 1 the answer is x + 1, (0,). A degree with no irreducible
+    trinomial or pentanomial raises PreconditionError; none is known
+    (Seroussi's table, HP Labs HPL-98-135, 1998, has one for every degree
+    up to 10,000).
     """
-    base = (1 << lam) | 1
-    trinomials = (base | (1 << m) for m in range(1, lam // 2 + 1)
+    if lam == 1:
+        return (0,)
+    # At lam <= _SIEVE_DEGREE the sieve's tables would contain the
+    # candidate itself, so the same scan runs without it.
+    sieve = ([(period, cyc, cyc[lam % period] ^ 1)
+              for period, cyc in _sieve_cycles()]
+             if lam > _SIEVE_DEGREE else [])
+    trinomials = ((m, 0) for m in range(1, lam // 2 + 1)
                   if not _swan_reducible(lam, m))
-    pentanomials = (base | (1 << a) | (1 << b) | (1 << c)
+    pentanomials = ((a, b, c, 0)
                     for a in range(3, lam)
                     for b in range(2, a)
                     for c in range(1, b))
-    # No tri- or pentanomial (possible in principle); fall back to any mask.
-    masks = range(base, 1 << (lam + 1), 2)
-    # At lam <= MAX_DEGREE the sieve's tables would contain the candidate
-    # itself, so the same scan runs without it.
-    sieve = (_SmallFactorSieve(lam)
-             if lam > _SmallFactorSieve.MAX_DEGREE else None)
-    for f in itertools.chain(trinomials, pentanomials, masks):
-        if sieve is not None and sieve.has_small_factor(f):
+    for exps in itertools.chain(trinomials, pentanomials):
+        if _has_small_factor(exps, sieve):
             continue
-        if f.bit_count() == 5 and _stickelberger_reducible(
-                *_exponents_desc(f)[:4]):
+        if len(exps) == 4 and _stickelberger_reducible(lam, *exps[:3]):
             continue
-        if _frobenius_walk(f, lam) == 0:
-            return f
-    raise PreconditionError(f"no irreducible of degree {lam} found")
+        if _frobenius_walk(_poly(lam, exps), lam) == 0:
+            return exps
+    raise PreconditionError(
+        f"no irreducible trinomial or pentanomial of degree {lam}")

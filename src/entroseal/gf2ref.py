@@ -180,7 +180,9 @@ def smallest_irreducible_lowweight_exhaustive(lam: int) -> int:
     x^lam + x^a + x^b + x^c + 1 by ascending (a, b, c), then all odd
     masks ascending. Mirrors the production scan with trial division as
     the only primality check, so it is usable as an oracle up to degrees
-    around 24.
+    around 24. Only this oracle keeps the tail of odd masks: the
+    production scan raises once the pentanomials run out, which no known
+    degree reaches.
     """
     if lam < 1:
         raise ValueError("degree must be >= 1")

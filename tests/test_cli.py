@@ -568,7 +568,7 @@ class TestVerifyJson:
                     want = statlab.check_derived_sizing(
                         c["n"], c["t"], c["epsilon"])
                 assert (value, bound) == (want.value, want.bound)
-        assert counts == {"gf2": 8, "classical": 108, "quantum": 72}
+        assert counts == {"gf2": 9, "classical": 108, "quantum": 72}
 
 
 def _classical_family(n, label):
@@ -582,12 +582,33 @@ class TestVerifyGf2:
     def test_gf2_suite_passes(self, capsys, gf2_suite_once):
         rc, out, err = run(capsys, ["verify", "gf2"])
         assert rc == 0
-        assert "8/8 checks passed" in err
+        assert "9/9 checks passed" in err
         names = [line.split()[1] for line in out.splitlines()]
         assert "modulus-scan-vs-oracle" in names
+        assert "modulus-table-vs-berlekamp" in names
         assert "trinomial-parity-vs-division" in names
         assert "pentanomial-parity-vs-berlekamp" in names
         assert "early-abort-vs-division" in names
+
+    def test_reducible_table_entry_fails(self):
+        # x^40 + x^2 + 1 = (x^20 + x + 1)^2, at a degree no other check
+        # looks up, so only the Berlekamp check sees it. In a fresh
+        # interpreter: this module shares one run of the suite.
+        script = """
+import sys
+from entroseal import cli, gf2
+gf2._MODULUS_TABLE[40] = (2, 0)
+sys.exit(cli.main(["verify", "gf2"]))
+"""
+        src = os.path.dirname(os.path.dirname(entroseal.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        verdicts = {name: verdict for verdict, name, *_ in
+                    map(str.split, proc.stdout.splitlines())}
+        assert verdicts.pop("modulus-table-vs-berlekamp") == "FAIL"
+        assert set(verdicts.values()) == {"PASS"}
 
     def test_wrong_kernel_fails_instead_of_hanging(self):
         # A kernel whose products come out one degree too high: fed to the

@@ -545,7 +545,7 @@ def test_rabin_agrees_with_trial_division_from_degree_one():
     for f in range(3, 1 << 15, 2):
         want = irreducible_by_trial_division(f)
         assert (gf2._frobenius_walk(f, f.bit_length() - 1) == 0) == want
-    assert gf2._scan_for_irreducible(1) == 0b11
+    assert gf2._scan_for_irreducible(1) == (0,)  # x + 1
 
 
 def test_find_irreducible_is_cached():
@@ -578,17 +578,41 @@ def test_modulus_table_entries_are_irreducible():
         assert spec == FieldSpec.from_modulus(spec.modulus)
 
 
+# The table's degrees up to 4096 re-scan in about 2 s in all (cold scans
+# of about 0.03, 0.25, 0.1 and 1.6 s at 1037, 2048, 2123 and 4096). 16397
+# (a 16 s scan) and 32768 (over 600 s, never finished) would dominate
+# tier-1, so they are checked for irreducibility alone, above and by
+# Berlekamp's count in `verify gf2`.
+@pytest.mark.parametrize("lam", [lam for lam in sorted(gf2._MODULUS_TABLE)
+                                 if lam <= 4096])
+def test_modulus_table_entry_is_the_first_in_scan_order(lam):
+    # the goldens pin whatever the table serves, so an irreducible entry
+    # that the scan would pass over is caught only here
+    assert gf2._MODULUS_TABLE[lam] == gf2._scan_for_irreducible(lam)
+
+
+def _sieve(lam):
+    """The scan's sieve at lam: each shared cycle table, with its base
+    x^lam + 1 mod g."""
+    return [(period, cyc, cyc[lam % period] ^ 1)
+            for period, cyc in gf2._sieve_cycles()]
+
+
+def _has_small_factor(f, lam):
+    return gf2._has_small_factor(gf2._exponents_desc(f ^ (1 << lam)),
+                                 _sieve(lam))
+
+
 def test_small_factor_sieve_matches_trial_division():
     # one process, two lambdas: the lam-independent cycle tables are built
     # once and shared, and each sieve must still answer for its own lam
-    depth = gf2._SmallFactorSieve.MAX_DEGREE
+    depth = gf2._SIEVE_DEGREE
     small = [g for g in range(3, 1 << (depth + 1), 2)
              if irreducible_by_trial_division(g)]
     # one table for every irreducible of degree <= depth but x
     assert len(gf2._sieve_cycles()) == len(small)
     rng = random.Random(0x51E7E)
     for lam in (61, 130):
-        sieve = gf2._SmallFactorSieve(lam)
         candidates = []
         for _ in range(25):
             f = (1 << lam) | 1
@@ -602,7 +626,7 @@ def test_small_factor_sieve_matches_trial_division():
         seen = set()
         for f in candidates:
             want = any(polydivmod(f, g)[1] == 0 for g in small)
-            assert sieve.has_small_factor(f) == want, (lam, hex(f))
+            assert _has_small_factor(f, lam) == want, (lam, hex(f))
             seen.add(want)
         assert seen == {True, False}
 
@@ -645,7 +669,7 @@ def test_prefilter_rejects_a_planted_factor(squares, lam):
     # only their multiples catch them
     rng = random.Random(lam)
     top = gf2._PREFILTER_DEGREE
-    for d in (gf2._SmallFactorSieve.MAX_DEGREE + 1, 24, top):
+    for d in (gf2._SIEVE_DEGREE + 1, 24, top):
         g = find_irreducible(d).modulus.value
         for h in (find_irreducible(lam - d).modulus.value,
                   (1 << (lam - d)) | rng.getrandbits(lam - d) | 1):
@@ -657,19 +681,18 @@ def test_prefilter_rejects_a_planted_factor(squares, lam):
 
 
 def test_a_factor_just_above_the_sieve_is_left_to_the_walk():
-    # the seam between the two tests: a factor of degree MAX_DEGREE + 1,
+    # the seam between the two tests: a factor of degree _SIEVE_DEGREE + 1,
     # planted with an irreducible cofactor of degree above D, passes the
     # sieve and is rejected at the walk's step-D checkpoint
-    d = gf2._SmallFactorSieve.MAX_DEGREE + 1
+    d = gf2._SIEVE_DEGREE + 1
     lam = 130
-    sieve = gf2._SmallFactorSieve(lam)
     h = find_irreducible(lam - d).modulus.value
     planted = [g for g in range(1 << d, 1 << (d + 1))
                if irreducible_by_trial_division(g)]
     assert planted
     for g in planted:
         f = clmul_shift_xor(g, h)
-        assert not sieve.has_small_factor(f), hex(g)
+        assert not _has_small_factor(f, lam), hex(g)
         assert gf2._frobenius_walk(f, lam) == gf2._PREFILTER_DEGREE, hex(g)
 
 
@@ -694,12 +717,12 @@ def test_one_walk_decides_each_scan_candidate(monkeypatch, squares, lam):
     # and the irreducible answer exactly lam; a separate small-factor walk
     # before Rabin's test would add D to the latter
     starts = []
-    has_small_factor = gf2._SmallFactorSieve.has_small_factor
+    has_small_factor = gf2._has_small_factor
 
-    def start(self, f):
-        starts.append((f, squares[0]))
-        return has_small_factor(self, f)
-    monkeypatch.setattr(gf2._SmallFactorSieve, "has_small_factor", start)
+    def start(exps, sieve):
+        starts.append((gf2._poly(lam, exps), squares[0]))
+        return has_small_factor(exps, sieve)
+    monkeypatch.setattr(gf2, "_has_small_factor", start)
     answer = find_irreducible.__wrapped__(lam).modulus.value
     assert starts[-1][0] == answer
     ends = [at for _, at in starts[1:]] + [squares[0]]
@@ -850,21 +873,23 @@ def test_swan_never_rejects_an_irreducible_trinomial():
 @pytest.mark.parametrize("lam", [603, 1002])
 def test_swan_rejected_trinomials_reach_no_later_test(monkeypatch, lam):
     # counts work, not time: record every candidate the sieve and the
-    # Frobenius walk see in one uncached scan
+    # Frobenius walk see in one uncached scan (the sieve's own tables, if
+    # built here, walk lower degrees)
     seen = []
 
-    def record(owner, name, at):
-        test = getattr(owner, name)
+    def record(name, mask):
+        test = getattr(gf2, name)
 
         def wrapper(*args):
-            seen.append(args[at])
+            seen.append(mask(*args))
             return test(*args)
-        monkeypatch.setattr(owner, name, wrapper)
-    record(gf2._SmallFactorSieve, "has_small_factor", 1)  # (self, f)
-    record(gf2, "_frobenius_walk", 0)
+        monkeypatch.setattr(gf2, name, wrapper)
+    record("_has_small_factor", lambda exps, sieve: gf2._poly(lam, exps))
+    record("_frobenius_walk", lambda f, n: f)
     find_irreducible.__wrapped__(lam)
     base = (1 << lam) | 1
-    trinomials = {f ^ base for f in seen if bin(f).count("1") == 3}
+    trinomials = {f ^ base for f in seen
+                  if f.bit_length() == lam + 1 and bin(f).count("1") == 3}
     assert trinomials, "some trinomial must still reach the sieve"
     for mid in trinomials:
         k = mid.bit_length() - 1
@@ -899,25 +924,44 @@ def test_parity_test_spares_walks_of_sieved_pentanomials(monkeypatch, lam):
     # walked than pass the sieve, and the answer is among those walked
     # (the sieve's own tables, if built here, walk lower degrees)
     passed, walked = [], []
-    has_small_factor = gf2._SmallFactorSieve.has_small_factor
+    has_small_factor = gf2._has_small_factor
     walk = gf2._frobenius_walk
 
-    def sieve(self, f):
-        found = has_small_factor(self, f)
-        if not found and f.bit_count() == 5:
-            passed.append(f)
+    def sieve(exps, tables):
+        found = has_small_factor(exps, tables)
+        if not found and len(exps) == 4:
+            passed.append(gf2._poly(lam, exps))
         return found
 
     def record(f, n):
         if n == lam and f.bit_count() == 5:
             walked.append(f)
         return walk(f, n)
-    monkeypatch.setattr(gf2._SmallFactorSieve, "has_small_factor", sieve)
+    monkeypatch.setattr(gf2, "_has_small_factor", sieve)
     monkeypatch.setattr(gf2, "_frobenius_walk", record)
     answer = find_irreducible.__wrapped__(lam).modulus.value
     assert walked[-1] == answer == passed[-1]
     assert set(walked) <= set(passed)
     assert len(walked) < len(passed)
+
+
+def test_scan_ends_after_the_last_pentanomial(monkeypatch):
+    # with every degree-40 candidate rejected by the walk, the scan raises
+    # once the pentanomials run out, and never walks a denser mask
+    lam = 40
+    walk = gf2._frobenius_walk
+    weights = set()
+
+    def reject(f, n):
+        if n != lam:  # the sieve's own tables, if built here
+            return walk(f, n)
+        assert f.bit_count() <= 5, hex(f)
+        weights.add(f.bit_count())
+        return n
+    monkeypatch.setattr(gf2, "_frobenius_walk", reject)
+    with pytest.raises(PreconditionError):
+        find_irreducible.__wrapped__(lam)
+    assert weights == {5}  # Swan's rule drops every trinomial: 8 | lam
 
 
 # ---------------------------------------------------------------------------
