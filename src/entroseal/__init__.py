@@ -10,7 +10,8 @@ The package bundles the scheme (``cipher``), the expansion map and its
 full-width baseline (``keyexpand``), binary-field arithmetic with exact
 gate-count models (``gf2``),
 exact classical verification (``statlab``), a density-matrix lab for the
-quantum claims (``qlab``), cost benchmarks (``bench``), and a CLI.
+quantum claims (``qlab``), the ``entroseal verify`` suites built on them
+(``verify``), cost benchmarks (``bench``), and a CLI (``cli``).
 """
 
 from .cipher import (Ciphertext, SchemeParams, decrypt, derive_key_length,

@@ -9,7 +9,7 @@ slots in a hand-written ``__init__`` past the frozen ``__setattr__``, with
 ``object.__setattr__`` or a slot descriptor's own ``__set__``.
 
 :class:`Check` is the one result type of every ``verify`` check, here
-because ``cli`` already loads this module.
+because the core modules already load this module.
 """
 
 from __future__ import annotations

@@ -156,14 +156,14 @@ def qotp_apply(key: "PauliKey | BitPoly", state: BipartiteState) -> BipartiteSta
     return state.with_matrix(w @ state.mat @ w.conj().T)
 
 
-def full_qotp_average(state: BipartiteState, max_qubits: int = 5,
-                      max_dim_e: int = 4) -> BipartiteState:
+def full_qotp_average(state: BipartiteState,
+                      max_qubits: int = 5) -> BipartiteState:
     """Exact average over all 2^(2n) Pauli keys."""
     n = state.n_qubits
-    if n > max_qubits or state.dim_e > max_dim_e:
+    if n > max_qubits or state.dim_e > 4:
         raise BudgetError(
             f"full key average at n={n}, dim_e={state.dim_e} exceeds the "
-            f"budget (n <= {max_qubits}, dim_e <= {max_dim_e})")
+            f"budget (n <= {max_qubits}, dim_e <= 4)")
     acc = np.zeros_like(state.mat)
     for beta in range(1 << (2 * n)):
         acc += qotp_apply(BitPoly(beta, 2 * n), state).mat
@@ -189,9 +189,9 @@ def key_average(u: BitPoly, v: BitPoly, params: ExpansionParams,
     return state.with_matrix(acc / (1 << params.ell))
 
 
-def trace_norm(m: np.ndarray, hermitian_tol: float = 1e-8) -> float:
-    """Sum of absolute eigenvalues; requires a Hermitian input."""
-    if np.max(np.abs(m - m.conj().T)) > hermitian_tol:
+def trace_norm(m: np.ndarray) -> float:
+    """Sum of absolute eigenvalues; requires a Hermitian input, to 1e-8."""
+    if np.max(np.abs(m - m.conj().T)) > 1e-8:
         raise PreconditionError(
             "trace_norm expects a Hermitian matrix; see singular_value_norm")
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
@@ -374,8 +374,7 @@ def check_pair_moment_identity(n: int, ell: int,
 
 
 def check_trace_norm_bound(params: ExpansionParams, state: BipartiteState,
-                           sigma_list: Sequence[np.ndarray],
-                           rel_tol: float = 1e-9) -> Check:
+                           sigma_list: Sequence[np.ndarray]) -> Check:
     """E_uv || R_uv(rho) - mixed x rho^E ||_1 <= per-sigma ceiling.
 
     The left side is enumerated exactly over all (u, v, k). Each sigma
@@ -385,8 +384,8 @@ def check_trace_norm_bound(params: ExpansionParams, state: BipartiteState,
     the closed-form ceiling sqrt(2^(n-ell) Tr[(rho^A)^2]).
 
     The check's value is the left side and its bound the smallest of
-    these ceilings; it passes iff value <= bound * (1 + rel_tol), that
-    is, iff every ceiling holds.
+    these ceilings; it passes iff value <= bound * (1 + 1e-9), that is,
+    iff every ceiling holds.
     """
     if params.mode is not Mode.QUANTUM:
         raise PreconditionError("the bound concerns quantum-mode sizes")
@@ -424,4 +423,4 @@ def check_trace_norm_bound(params: ExpansionParams, state: BipartiteState,
 
     bound = min(bounds)
     return Check("trace-norm-bound", context,
-                 lhs <= bound * (1.0 + rel_tol), lhs, bound)
+                 lhs <= bound * (1.0 + 1e-9), lhs, bound)

@@ -261,12 +261,13 @@ def _chi_squared_quantile(df: int, p: float) -> float:
     return df * (1.0 - a + z * math.sqrt(a)) ** 3
 
 
-def chi_squared_uniform(counts: Mapping[int, int], nbits: int,
-                        significance: float = 1e-3) -> Check:
+def chi_squared_uniform(counts: Mapping[int, int], nbits: int) -> Check:
     """Pearson chi-squared test of uniformity over all 2^nbits cells.
 
-    The statistic must fall strictly below the threshold.
+    The statistic must fall strictly below the threshold at significance
+    1e-3.
     """
+    significance = 1e-3
     cells = 1 << nbits
     total = sum(counts.values())
     if total <= 0:

@@ -204,8 +204,7 @@ def test_criterion_06_trace_norm_bound_per_sigma():
                         sigmas.append(s)  # unnormalized on purpose
                     else:
                         sigmas.append(s / np.trace(s).real)
-                rep = check_trace_norm_bound(params, state, sigmas,
-                                             rel_tol=1e-9)
+                rep = check_trace_norm_bound(params, state, sigmas)
                 cases += len(sigmas)
                 if not rep.passed:
                     failures.append(rep.line())

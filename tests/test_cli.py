@@ -2,6 +2,7 @@
 
 import builtins
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import entroseal
-from entroseal import cli, statlab
+from entroseal import cli, gf2, statlab, verify
 from entroseal.cipher import deserialize
 from entroseal.cli import _parse_epsilon, main
 from entroseal.errors import (ConfigurationError, DominationError,
@@ -29,12 +30,17 @@ def run(capsys, argv):
 
 
 @pytest.fixture(scope="module")
-def gf2_suite_once():
-    """Run the `verify gf2` suite once per seed in this module: it takes
-    seconds, and its results are frozen Check records, safe to share."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_gf2_suite", functools.lru_cache(cli._gf2_suite))
-        yield
+def gf2_suite_cache():
+    """`verify.gf2` run once per seed in this module: it takes seconds,
+    and its results are frozen Check records, safe to share."""
+    return functools.lru_cache(verify.gf2)
+
+
+@pytest.fixture
+def gf2_suite_once(monkeypatch, gf2_suite_cache):
+    """The shared `verify gf2` run, for this test only: a test that plants
+    a fault runs the suite afresh."""
+    monkeypatch.setattr(verify, "gf2", gf2_suite_cache)
 
 
 class TestParams:
@@ -255,7 +261,7 @@ for size, t, lam in ((512, "2048", 2123), (64, "256", 331)):
     assert (d / "back.bin").read_bytes() == plain
 unused = ("numpy", "dataclasses", "inspect", "statistics", "json",
           "entroseal.bench", "entroseal.statlab", "entroseal.qlab",
-          "entroseal.gf2ref")
+          "entroseal.gf2ref", "entroseal.verify")
 loaded = [m for m in unused if m in sys.modules]
 sys.exit(f"loaded {loaded}" if loaded else 0)
 """
@@ -489,7 +495,7 @@ class TestVerify:
         if suite == "gf2":
             # the gf2 suite takes seconds; the budget is read (or not)
             # before any suite runs
-            monkeypatch.setattr(cli, "_gf2_suite", lambda seed: [])
+            monkeypatch.setattr(verify, "gf2", lambda seed: [])
         rc, _, err = run(capsys, ["verify", suite])
         assert rc == 0, err
         rc, _, err = run(capsys, ["verify", "classical"])
@@ -532,6 +538,30 @@ class TestVerify:
             "verify", "classical", "--budget", str(1 << 30)])
         assert rc == 0
         assert "108/108" in err
+
+
+class TestVerifyPinned:
+    # SHA-256 of each suite's stdout at seed 0: the gf2 and classical text
+    # in full, and each quantum line cut at its first ":", because the
+    # float residuals after it depend on the BLAS.
+    DIGESTS = {
+        "gf2": "80e5cdd55cb6d63767c09f5870218d31"
+               "33d05c90e2bc40e468427ad877e8a391",
+        "classical": "554354fd237b5a1525c35421828b1ff4"
+                     "dc2c6fb0b7c4c0046113ff4390dcda00",
+        "quantum": "fc3a890c748598bc132c65509e7de1aa"
+                   "5f87aa3703e1753b8f35b4fe80a1c015",
+    }
+
+    @pytest.mark.parametrize("suite", ["gf2", "classical", "quantum"])
+    def test_seed_zero_output_is_pinned(self, capsys, gf2_suite_once,
+                                        suite):
+        rc, out, _ = run(capsys, ["verify", suite])
+        assert rc == 0
+        if suite == "quantum":
+            out = "".join(line.split(":")[0] + "\n"
+                          for line in out.splitlines())
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[suite]
 
 
 class TestVerifyJson:
@@ -579,6 +609,46 @@ def _classical_family(n, label):
 
 
 class TestVerifyGf2:
+    @pytest.fixture(scope="class")
+    def fresh_runs(self):
+        """Fresh interpreters that run `verify gf2`, about 1.5 s each. All
+        start at the first test that asks, so their runs overlap."""
+        scripts = {
+            # the real suites, then the modules they loaded
+            "lazy-imports": """
+import sys
+from entroseal.cli import main
+for suite in ("gf2", "classical"):
+    assert main(["verify", suite]) == 0
+loaded = [m for m in ("numpy", "entroseal.qlab") if m in sys.modules]
+sys.exit(f"loaded {loaded}" if loaded else 0)
+""",
+            "wrong-kernel": """
+import sys
+from entroseal import cli, gf2, verify
+verify.clmul = lambda a, b: gf2.BitPoly(
+    gf2._comb_int(a.value, b.value) << 1, a.nbits + b.nbits)
+sys.exit(cli.main(["verify", "gf2"]))
+""",
+        }
+        src = os.path.dirname(os.path.dirname(entroseal.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        procs = {name: subprocess.Popen(
+                     [sys.executable, "-c", script], env=env, text=True,
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                 for name, script in scripts.items()}
+        yield procs
+        for proc in procs.values():
+            proc.kill()
+            proc.communicate()
+
+    def test_only_the_quantum_suite_loads_numpy(self, fresh_runs):
+        proc = fresh_runs["lazy-imports"]
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert "9/9 checks passed" in err
+        assert "108/108 checks passed" in err
+
     def test_gf2_suite_passes(self, capsys, gf2_suite_once):
         rc, out, err = run(capsys, ["verify", "gf2"])
         assert rc == 0
@@ -590,44 +660,27 @@ class TestVerifyGf2:
         assert "pentanomial-parity-vs-berlekamp" in names
         assert "early-abort-vs-division" in names
 
-    def test_reducible_table_entry_fails(self):
+    def test_reducible_table_entry_fails(self, capsys, monkeypatch):
         # x^40 + x^2 + 1 = (x^20 + x + 1)^2, at a degree no other check
-        # looks up, so only the Berlekamp check sees it. In a fresh
-        # interpreter: this module shares one run of the suite.
-        script = """
-import sys
-from entroseal import cli, gf2
-gf2._MODULUS_TABLE[40] = (2, 0)
-sys.exit(cli.main(["verify", "gf2"]))
-"""
-        src = os.path.dirname(os.path.dirname(entroseal.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1, proc.stderr
+        # looks up, so only the Berlekamp check sees it and no modulus
+        # lookup caches it.
+        monkeypatch.setitem(gf2._MODULUS_TABLE, 40, (2, 0))
+        rc, out, err = run(capsys, ["verify", "gf2"])
+        assert rc == 1, err
         verdicts = {name: verdict for verdict, name, *_ in
-                    map(str.split, proc.stdout.splitlines())}
+                    map(str.split, out.splitlines())}
         assert verdicts.pop("modulus-table-vs-berlekamp") == "FAIL"
         assert set(verdicts.values()) == {"PASS"}
 
-    def test_wrong_kernel_fails_instead_of_hanging(self):
+    def test_wrong_kernel_fails_instead_of_hanging(self, fresh_runs):
         # A kernel whose products come out one degree too high: fed to the
         # Frobenius walk, such a product would fold forever. In a fresh
         # interpreter with a time limit, so that a hang fails the test.
-        script = """
-import sys
-from entroseal import cli, gf2
-cli.clmul = lambda a, b: gf2.BitPoly(gf2._comb_int(a.value, b.value) << 1,
-                                     a.nbits + b.nbits)
-sys.exit(cli.main(["verify", "gf2"]))
-"""
-        src = os.path.dirname(os.path.dirname(entroseal.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1, proc.stderr
+        proc = fresh_runs["wrong-kernel"]
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1, err
         verdicts = {name: verdict for verdict, name, *_ in
-                    map(str.split, proc.stdout.splitlines())}
+                    map(str.split, out.splitlines())}
         assert verdicts["early-abort-vs-division"] == "FAIL"
         assert verdicts["backend-equivalence"] == "FAIL"
         assert verdicts["trinomial-parity-vs-division"] == "PASS"
