@@ -5,12 +5,14 @@ in GF(2^lambda) with lambda = max(ell, out_len - ell)) against the
 full-multiplication baselines (one multiplication in GF(2^n) classical,
 GF(2^2n) quantum). Halving the field size is what makes the affine map
 roughly a factor two cheaper in AND gates at matched security sizing.
-The backend picks the gate-count model only; timings always measure the
-library's single evaluation kernel.
+A backend picks the gate-count model only. Timing takes no backend: it
+measures the library's single evaluation kernel, once per method and
+size.
 
 Each result is one plain dict, the row that ``entroseal bench --format
-json`` prints: count_record fills in the counts, time_expansion the
-timings, and emit_table adds the two ratios and renders the text table.
+json`` prints: count_record builds a backend's counts-only row,
+time_expansion measures the timing keys to merge into it, and emit_table
+adds the two ratios and renders the text table.
 """
 
 from __future__ import annotations
@@ -44,16 +46,9 @@ class Method(enum.Enum):
     FULLMUL_QUANTUM = "fullmul-quantum"
 
 
-# The mode each full-multiplication baseline applies to.
-_BASELINE_MODE = {
-    Method.FULLMUL_CLASSICAL: Mode.CLASSICAL,
-    Method.FULLMUL_QUANTUM: Mode.QUANTUM,
-}
-
-
 def baseline(mode: Mode) -> Method:
     """The full-multiplication method that applies to mode."""
-    return next(m for m, applies in _BASELINE_MODE.items() if applies is mode)
+    return Method(f"fullmul-{mode.value}")
 
 
 def _width(method: Method, params: ExpansionParams) -> int:
@@ -61,11 +56,9 @@ def _width(method: Method, params: ExpansionParams) -> int:
     out_len for a baseline, which must apply to params' mode."""
     if method is Method.AFFINE:
         return params.lam
-    mode = _BASELINE_MODE.get(method)
-    if mode is None:
-        raise PreconditionError(f"unknown method {method!r}")
-    if params.mode is not mode:
-        raise PreconditionError(f"{method.value} applies to {mode.value} mode")
+    if method is not baseline(params.mode):
+        raise PreconditionError(
+            f"{method.value} does not apply to {params.mode.value} mode")
     return params.out_len
 
 
@@ -123,19 +116,19 @@ def _make_runner(method: Method, params: ExpansionParams, rng: RandomSource):
     return lambda: expand_fullmul(key, r, params)
 
 
-def time_expansion(method: Method, params: ExpansionParams, backend: Backend,
-                   reps: int = 31, rng: RandomSource | None = None) -> dict:
+def time_expansion(method: Method, params: ExpansionParams, reps: int = 31,
+                   rng: RandomSource | None = None) -> dict:
     """Median wall time over reps runs, warmup excluded, fresh inputs per rep.
 
-    Input generation happens outside the timed region. The row is
-    count_record's with its timing keys filled in, so the backend picks
-    its cost model only. env is the CPU model string; warn_timer is set
-    when the median is within two orders of magnitude of the clock
-    resolution and should be mistrusted.
+    Input generation happens outside the timed region. Returns a row's
+    five timing keys, to merge into count_record's row for any backend:
+    the kernel timed is the same whatever cost model counts it. env is
+    the CPU model string; warn_timer is set when the median is within two
+    orders of magnitude of the clock resolution and should be mistrusted.
     """
     if reps < 31:
         raise PreconditionError(f"need reps >= 31 for stable medians, got {reps}")
-    row = count_record(method, params, backend)
+    _width(method, params)  # refuses a baseline for the other mode
     if rng is None:
         rng = RandomSource(0)
     runners = [_make_runner(method, params, rng)
@@ -150,10 +143,9 @@ def time_expansion(method: Method, params: ExpansionParams, backend: Backend,
     median = float(statistics.median(times))
     quartiles = statistics.quantiles(times, n=4)
     resolution_ns = time.get_clock_info("perf_counter").resolution * 1e9
-    row.update(wall_ns_median=median,
-               wall_ns_iqr=float(quartiles[2] - quartiles[0]), reps=reps,
-               env=_cpu_model(), warn_timer=median < 100.0 * resolution_ns)
-    return row
+    return {"wall_ns_median": median,
+            "wall_ns_iqr": float(quartiles[2] - quartiles[0]), "reps": reps,
+            "env": _cpu_model(), "warn_timer": median < 100.0 * resolution_ns}
 
 
 # Text column -> (row key, divisor for a float value).

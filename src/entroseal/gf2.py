@@ -171,7 +171,9 @@ class Backend(enum.Enum):
     """Gate-count model for a carry-less multiply.
 
     It selects only how a product is counted; every product is evaluated
-    by the same exact kernel, so the choice never changes a value.
+    by the same exact kernel, so the choice never changes a value or a
+    timing: ``bench.time_expansion`` takes no backend, and the bench
+    times each method once per size.
     """
 
     SCHOOLBOOK = "schoolbook"

@@ -267,9 +267,10 @@ def test_criterion_08_cost_factor_two():
 
     AND-count ratio >= 2.0 at matched sizing (t = 0, eps = 2^-5, so
     ell = n + 13) for 2n in {128, 512, 2048} under both backends, and
-    median wall-clock ratio >= 1.5 at 2n = 2^15 under Karatsuba. The
-    log3-constant comparison needs a ternary-tree backend this package
-    does not build, so it is not asserted.
+    median wall-clock ratio >= 1.5 at 2n = 2^15 (no backend: the one
+    evaluation kernel is timed). The log3-constant comparison needs a
+    ternary-tree backend this package does not build, so it is not
+    asserted.
     """
     subchecks = []
     for backend in (Backend.SCHOOLBOOK, Backend.KARATSUBA):
@@ -283,12 +284,12 @@ def test_criterion_08_cost_factor_two():
                               ratio, ratio >= 2.0))
     n = 1 << 14
     params = ExpansionParams.quantum(n, n + 13)
-    ours = time_expansion(Method.AFFINE, params, Backend.KARATSUBA,
-                          reps=31, rng=RandomSource(81))
-    base = time_expansion(Method.FULLMUL_QUANTUM, params, Backend.KARATSUBA,
-                          reps=31, rng=RandomSource(82))
+    ours = time_expansion(Method.AFFINE, params, reps=31,
+                          rng=RandomSource(81))
+    base = time_expansion(Method.FULLMUL_QUANTUM, params, reps=31,
+                          rng=RandomSource(82))
     wall_ratio = base["wall_ns_median"] / ours["wall_ns_median"]
-    subchecks.append(("karatsuba 2n=2^15 wall-clock ratio", wall_ratio,
+    subchecks.append(("2n=2^15 wall-clock ratio", wall_ratio,
                       wall_ratio >= 1.5))
     for name, ratio, ok in subchecks:
         print(f"  {'ok ' if ok else 'LOW'} {name}: {ratio:.3f}")
@@ -305,8 +306,11 @@ def test_criterion_08_cost_factor_two():
     # and reads on either side of it: both products are one comb that
     # takes 64-bit steps over the 16397-bit key, 257 steps each, so the
     # ratio is what a table XOR at 32768 bits costs against one at 16397
-    # (about 1.5-1.6), and the two runners are timed in separate blocks,
+    # (about 1.4-1.6), and the two runners are timed in separate blocks,
     # so a change in machine speed between the blocks moves it too.
+    # Timing them interleaved, rep by rep, is no cure: it changes which
+    # inputs and tables sit in cache, and moved the median by up to 0.15
+    # in either direction.
     assert not failures, line
 
 

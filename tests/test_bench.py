@@ -68,16 +68,31 @@ class TestCountExpansion:
                                Backend.KARATSUBA) == first
 
 
+# The keys time_expansion measures; count_record supplies the rest.
+TIMING_KEYS = {"wall_ns_median", "wall_ns_iqr", "reps", "env", "warn_timer"}
+
+
 class TestTimeExpansion:
     def test_too_few_reps(self):
         params = ExpansionParams.classical(8, 5)
         with pytest.raises(PreconditionError, match="31"):
-            time_expansion(Method.AFFINE, params, Backend.KARATSUBA, reps=30)
+            time_expansion(Method.AFFINE, params, reps=30)
+
+    def test_baseline_for_the_other_mode(self):
+        with pytest.raises(PreconditionError):
+            time_expansion(Method.FULLMUL_CLASSICAL,
+                           ExpansionParams.quantum(4, 3))
+        with pytest.raises(PreconditionError):
+            time_expansion(Method.FULLMUL_QUANTUM,
+                           ExpansionParams.classical(8, 4))
 
     def test_small_measurement_round_trip(self):
         params = ExpansionParams.classical(16, 9)
-        row = time_expansion(Method.AFFINE, params, Backend.KARATSUBA,
-                             reps=31, rng=RandomSource(7))
+        timing = time_expansion(Method.AFFINE, params, reps=31,
+                                rng=RandomSource(7))
+        assert set(timing) == TIMING_KEYS
+        row = {**count_record(Method.AFFINE, params, Backend.KARATSUBA),
+               **timing}
         assert row["reps"] == 31
         assert row["wall_ns_median"] is not None and row["wall_ns_median"] > 0
         assert row["wall_ns_iqr"] is not None and row["wall_ns_iqr"] >= 0
@@ -89,8 +104,10 @@ class TestTimeExpansion:
 
     def test_fullmul_measurement(self):
         params = ExpansionParams.classical(16, 9)
-        row = time_expansion(Method.FULLMUL_CLASSICAL, params,
-                             Backend.SCHOOLBOOK, reps=31)
+        timing = time_expansion(Method.FULLMUL_CLASSICAL, params, reps=31)
+        assert set(timing) == TIMING_KEYS
+        row = {**count_record(Method.FULLMUL_CLASSICAL, params,
+                              Backend.SCHOOLBOOK), **timing}
         assert row["lam"] == 16
         assert row["mode"] == Mode.CLASSICAL.value
 

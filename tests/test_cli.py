@@ -663,8 +663,10 @@ sys.exit(cli.main(["verify", "gf2"]))
     def test_reducible_table_entry_fails(self, capsys, monkeypatch):
         # x^40 + x^2 + 1 = (x^20 + x + 1)^2, at a degree no other check
         # looks up, so only the Berlekamp check sees it and no modulus
-        # lookup caches it.
-        monkeypatch.setitem(gf2._MODULUS_TABLE, 40, (2, 0))
+        # lookup caches it. It is the table's only row: the real rows are
+        # checked by the shared run and the seed-0 pin, and their
+        # Berlekamp counts take most of the suite's time.
+        monkeypatch.setattr(gf2, "_MODULUS_TABLE", {40: (2, 0)})
         rc, out, err = run(capsys, ["verify", "gf2"])
         assert rc == 1, err
         verdicts = {name: verdict for verdict, name, *_ in
@@ -742,6 +744,41 @@ class TestBench:
         # 128 quantum (n = 64 qubits)
         full = {lam for method, _, lam in lams[0] if method != "affine"}
         assert full == {64 if mode == "classical" else 128}
+
+    def test_each_method_is_timed_once_per_size(self, capsys, monkeypatch):
+        # the kernel timed is the same under every count model, so the
+        # backends' rows of a method share one measurement
+        from entroseal import bench
+        real = bench.time_expansion
+        calls = []
+
+        def counted(method, params, *args, **kw):
+            calls.append((params.n, method))
+            return real(method, params, *args, **kw)
+        monkeypatch.setattr(bench, "time_expansion", counted)
+        rc, out, _ = run(capsys, ["bench", "--backends",
+                                  "schoolbook,karatsuba", "--reps", "31",
+                                  "--format", "json"])
+        assert rc == 0
+        assert len(calls) == len(set(calls)) == 6  # 3 sizes x 2 methods
+        rows = json.loads(out)
+        assert len(rows) == 12
+        timed = {}
+        for r in rows:
+            key = (r["n"], r["method"])
+            timing = {k: r[k] for k in ("wall_ns_median", "wall_ns_iqr",
+                                        "reps", "env", "warn_timer",
+                                        "time_ratio")}
+            assert timed.setdefault(key, timing) == timing
+        assert len(timed) == 6
+
+    @pytest.mark.parametrize("reps", [[], ["--reps", "31"]])
+    def test_baseline_for_the_other_mode_is_exit_2(self, capsys, reps):
+        rc, _, err = run(capsys, ["bench", "--sizes", "16", "--mode",
+                                  "quantum", "--methods",
+                                  "fullmul-classical"] + reps)
+        assert rc == 2
+        assert "fullmul-classical" in err
 
     def test_bad_reps_is_exit_2(self, capsys):
         rc, _, err = run(capsys, [
