@@ -9,9 +9,10 @@ and :func:`reduce_cost` count the two-input AND and XOR gates a hardware
 realization of the chosen :class:`Backend` would use. Every product is
 evaluated by one windowed comb (Horner's rule over a table of multiples
 of the wider operand), with no Karatsuba split. A comb over a narrower
-operand of more than about 3.5 kbit reads it 64 bits a step through 16
-nibble tables, so that each step costs one big-int shift, not eight
-(Lopez & Dahab, INDOCRYPT 2000). Karatsuba is only a count model
+operand of more than about 3.5 kbit, or of a few kbit against a much
+wider one, reads it 64 bits a step through 16 nibble tables, so that
+each step costs one big-int shift, not eight (Lopez & Dahab, INDOCRYPT
+2000). Karatsuba is only a count model
 (``Backend.KARATSUBA``). The counting rules are mirrored bit-serially in
 :mod:`entroseal.gf2ref` and the two are tested against each other.
 
@@ -32,12 +33,13 @@ exponents alone; it sieves out factors of degree <= 10; it drops the
 pentanomials whose discriminant mod 8 shows a repeated factor or an even
 number of factors (Stickelberger's theorem, undecided when the degree
 and the second exponent are both even); and it walks the Frobenius map
-once, :func:`_frobenius_walk`: Rabin's test, with a gcd at step 48 that
-rejects small factors early (from degree 49 up). The first three only
-skip reducible candidates, so the modulus is Rabin's verdict alone, and
-:func:`is_irreducible` takes the same walk. Only the standard library is
-used: squares are spread a byte at a time through ``bytes.translate``
-tables into one reused buffer, and the sieve's tables are 16-bit
+once, :func:`_frobenius_walk`: Rabin's test, with gcds at steps 24 and
+48 that reject factors of degree up to 48 early (from degree 240 up).
+The first three only skip reducible candidates, so the modulus is
+Rabin's verdict alone, and :func:`is_irreducible` takes the same walk.
+Only the standard library is used: squares are spread a byte at a time
+through ``bytes.translate`` tables into one reused buffer, and the
+sieve's tables, found by Eratosthenes' sieve over GF(2)[x], are 16-bit
 ``array`` views.
 """
 
@@ -186,11 +188,18 @@ class Backend(enum.Enum):
 # entries, which only pay off over many bytes), 8-bit windows up to
 # _WIDE_COMB_BITS and 64-bit Horner steps above (where the seven big-int
 # shifts they save per 64 bits cost more than the eight XORs they add).
+# A narrower operand of nb bits takes 64-bit steps also against a wider
+# one of na bits with (nb - 640) * na > _WIDE_COMB_AREA: their saving
+# grows with both widths, their set-up does not. That fits a sweep of na
+# from 2123 to 131072 and nb from 897 to 3456: 8-bit windows took 201 us
+# against 159 us for 64-bit steps at 32768x2048, but 77 against 89 us at
+# 16384x1025.
 # Horner's rule runs over blocks of _COMB_BLOCK windows or
 # _WIDE_COMB_BLOCK 64-bit words, so that each step shifts a value about as
 # wide as the wider operand rather than the whole product.
 _NIBBLE_WINDOW_BITS = 896
 _WIDE_COMB_BITS = 3456
+_WIDE_COMB_AREA = 3 << 22
 _COMB_BLOCK = 64
 _WIDE_COMB_BLOCK = 16
 
@@ -201,13 +210,14 @@ _HIGH_NIBBLE = bytes(w >> 4 for w in range(256))
 def _comb_int(a: int, b: int) -> int:
     """Carry-less product of two coefficient masks (windowed comb).
 
-    With a the wider operand and b the narrower, of width nb: up to
-    _WIDE_COMB_BITS of b, tabulates a*w for every k-bit window w, one XOR
-    per entry, with k = 4 or 8 by nb. Then walks every window of b, top
-    first, in blocks: within a block, part = part x^k + a*w (Horner's
-    rule), and each finished block is added into the product once, shifted
-    into place. A wider b goes to :func:`_comb_wide`, which shifts once per
-    64 bits of b instead of once per window. No window is skipped, whatever
+    With a the wider operand, of width na, and b the narrower, of width
+    nb: tabulates a*w for every k-bit window w, one XOR per entry, with
+    k = 4 or 8 by nb. Then walks every window of b, top first, in blocks:
+    within a block, part = part x^k + a*w (Horner's rule), and each
+    finished block is added into the product once, shifted into place. A
+    b wider than _WIDE_COMB_BITS, or one with (nb - 640) * na above
+    _WIDE_COMB_AREA, goes to :func:`_comb_wide`, which shifts once per 64
+    bits of b instead of once per window. No window is skipped, whatever
     its value, and every branch depends on the operands' bit lengths only.
     The time grows with the product of the widths: there is no Karatsuba
     split, which would only pay off once b is wider than about 40 kbit.
@@ -215,7 +225,7 @@ def _comb_int(a: int, b: int) -> int:
     if a.bit_length() < b.bit_length():
         a, b = b, a
     nb = b.bit_length()
-    if nb > _WIDE_COMB_BITS:
+    if nb > _WIDE_COMB_BITS or (nb - 640) * a.bit_length() > _WIDE_COMB_AREA:
         return _comb_wide(a, b)
     k = 8 if nb > _NIBBLE_WINDOW_BITS else 4
     table = _window_table(a, k)
@@ -484,20 +494,38 @@ def _square_mod(b: int, steps: int, f: int, lam: int,
 
     Each pass reduces b: a sparse f (``rest`` from :func:`_fold_exponents`)
     folds the bits at or above lam back through its non-leading terms until
-    none is left, a dense f (``rest`` None) is divided out. While steps
-    remain, b is then squared into one reused buffer, each byte spread by
-    the two nibble tables; this is what makes degree-30000 tests practical.
+    none is left, a dense f (``rest`` None) is divided out. The fold is one
+    unrolled expression for a trinomial or pentanomial with constant term
+    1, the shape of every modulus the scan returns, and a loop over the
+    exponents otherwise. While steps remain, b is then squared into one
+    reused buffer, each byte spread by the two nibble tables; this is what
+    makes degree-30000 tests practical.
     """
     nbytes = (lam + 7) // 8
     out = bytearray(2 * nbytes) if steps else None  # reduce_mod squares none
     low, high = _SPREAD_LOW, _SPREAD_HIGH
     mask = (1 << lam) - 1
+    terms = len(rest) if rest and rest[-1] == 0 else 0
+    if terms == 2:
+        e1, _ = rest
+    elif terms == 4:
+        e1, e2, e3, _ = rest
     while True:
         if rest is None:
             da = b.bit_length()
             while da > lam:
                 b ^= f << (da - lam - 1)
                 da = b.bit_length()
+        elif terms == 4:
+            hi = b >> lam
+            while hi:
+                b = (b & mask) ^ hi ^ (hi << e3) ^ (hi << e2) ^ (hi << e1)
+                hi = b >> lam
+        elif terms == 2:
+            hi = b >> lam
+            while hi:
+                b = (b & mask) ^ hi ^ (hi << e1)
+                hi = b >> lam
         else:
             hi = b >> lam
             while hi:
@@ -514,40 +542,67 @@ def _square_mod(b: int, steps: int, f: int, lam: int,
         b = int.from_bytes(out, "little")
 
 
-# The Frobenius walk's early checkpoint covers factors of degree up to
-# D = 48: fastest at lam = 603 and 4171 and within noise of the best at
-# 1083 in measured scans.
+# The Frobenius walk's early checkpoints (Ben-Or): a gcd at k = 24 over
+# the stops in (12, 24] and one at k = D = 48 over (24, 48], so a factor
+# of degree e <= D is caught after 24 squares if e <= 24, else after 48.
+# In an interleaved sweep (nine rounds, sieve built; scans of the 20
+# degrees 171 + 48i and 12 more from 251 to 2011), the scans took 532 ms
+# with gcds at (24, 48), 535 at (28, 56), 546 at (20, 40), 549 at 48
+# alone, 560 at 32, 575 at (24, 48, 96) or (16, 32), 581 at (24, 64) or
+# (16, 48) and 617 at 64. The checkpoints start at degree
+# _CHECKPOINT_FROM, where they begin to pay in the sieved scan: it took
+# 8-17% longer with them from 171 to 239 (up to 68% lower down), as long
+# within 5% from 240 to 329, and 8-19% less from 330 to 639. Each walk
+# that passes them pays 36 more products, so is_irreducible on an
+# irreducible input takes 1.7x as long with them at degree 603 and 1.4x
+# at 2123.
 _PREFILTER_DEGREE = 48
+_CHECKPOINTS = (24, _PREFILTER_DEGREE)
+_CHECKPOINT_FROM = 240
+
+
+@lru_cache(maxsize=64)
+def _walk_stops(lam: int) -> tuple[tuple[int, bool], ...]:
+    """The Frobenius walk's stops at degree lam, ascending, each with
+    whether a checkpoint gcd follows it: Rabin's k = lam/p for each prime
+    p dividing lam and, from degree _CHECKPOINT_FROM up, every k in
+    (12, 48] with a gcd at k = 24 and at k = 48. Worked out once per
+    degree, not once per candidate."""
+    stops = {lam // p for p in _prime_factors(lam)}
+    checks = _CHECKPOINTS if lam >= _CHECKPOINT_FROM else ()
+    if checks:
+        stops.update(range(checks[0] // 2 + 1, checks[-1] + 1))
+    return tuple((k, k in checks) for k in sorted(stops))
 
 
 def _frobenius_walk(f: int, lam: int) -> int:
     """0 if f, of degree lam, is irreducible, else the step that proved
-    it reducible: D (``_PREFILTER_DEGREE``) at the early checkpoint, lam
-    at the end.
+    it reducible: a checkpoint (24 or 48) or lam at the end.
 
     One walk computes b_k = x^(2^k) mod f for k up to lam and multiplies
-    b_k - x into one product mod f at Rabin's stops k = lam/p (p a prime
-    dividing lam) and, when lam > D, at every k in (D/2, D]. Rabin's test:
-    f is irreducible exactly when b_lam = x and the product is coprime to
-    f; a non-squarefree f fails one of the two. The checkpoint, a gcd at
-    k = D (Ben-Or), rejects any f with a factor of degree e <= D, since
-    that factor divides x^(2^k) - x at the multiple of e in (D/2, D]; an
-    irreducible f of degree lam > D has no such factor.
+    b_k - x into one product mod f at the stops of :func:`_walk_stops`.
+    Rabin's test: f is irreducible exactly when b_lam = x and the product
+    is coprime to f; a non-squarefree f fails one of the two. Each
+    checkpoint, a gcd of f with the product since the last one (Ben-Or),
+    rejects any f with a factor of degree e in its range: the one at 24
+    every e <= 24, which divides some k in (12, 24], the one at 48 every
+    e in (24, 48]. An irreducible f of degree lam >= _CHECKPOINT_FROM has
+    no such factor. The first product after the start or a checkpoint is
+    b_k - x itself, already reduced.
     """
     rest = _fold_exponents(_exponents_desc(f ^ (1 << lam)))
     x = _square_mod(2, 0, f, lam, rest)  # x, reduced (x + 1 at lam = 1)
-    top = _PREFILTER_DEGREE
-    stops = {lam // p for p in _prime_factors(lam)}
-    if lam > top:
-        stops.update(range(top // 2 + 1, top + 1))
     b, done, prod = x, 0, 1
-    for k in sorted(stops):
+    for k, check in _walk_stops(lam):
         b = _square_mod(b, k - done, f, lam, rest)
         done = k
-        prod = _square_mod(_comb_int(prod, b ^ x), 0, f, lam, rest)
-        if k == top:  # a stop only when lam > D: Rabin's are all <= lam/2
+        if prod == 1:  # b_k - x is reduced already: no product by 1
+            prod = b ^ x
+        else:
+            prod = _square_mod(_comb_int(prod, b ^ x), 0, f, lam, rest)
+        if check:
             if _polygcd_int(f, prod) != 1:
-                return top
+                return k
             prod = 1  # coprime so far: only later stops can share a factor
     b = _square_mod(b, lam - done, f, lam, rest)
     return 0 if b == x and _polygcd_int(f, prod) == 1 else lam
@@ -572,11 +627,12 @@ def is_irreducible(p: BitPoly) -> bool:
     return _frobenius_walk(f, d) == 0
 
 
-# Deeper tables mostly reject candidates that the walk's step-48 gcd would
-# reject soon after: scanning the 20 degrees 171 + 48i in a fresh process,
-# tables included, took 415, 407, 422 and 486 ms at depths 9, 10, 11 and 12
-# (medians of six interleaved runs; the tables alone took 5, 13, 41 and
-# 101 ms).
+# Deeper tables mostly reject candidates that the walk's gcds at steps 24
+# and 48 would reject soon after: scanning the 20 degrees 171 + 48i in a
+# fresh process, tables included, took 220, 205, 230 and 303 ms at depths
+# 9, 10, 11 and 12 (medians of seven interleaved runs; the tables alone
+# took 2, 6, 22 and 70 ms), and 193 against 198 ms at 9 and 10 in eight
+# more.
 _SIEVE_DEGREE = 10
 
 
@@ -605,23 +661,35 @@ def _sieve_cycles() -> tuple[tuple[int, memoryview], ...]:
     """(period, x^e mod g for e < period) per sieve irreducible g.
 
     The g are the irreducibles of degree 1 .. _SIEVE_DEGREE except x, in
-    ascending order. Each table is one walk x^e -> x^(e+1) mod g (a shift
-    and a conditional XOR) until it returns to 1, so its length is the
-    order of x mod g. Independent of lam, so built once per process and
-    shared as read-only views of 16-bit arrays (225 tables, 105,309
-    entries).
+    ascending order, found by Eratosthenes' sieve over GF(2)[x]: an odd g
+    that no smaller one has marked is irreducible, and marks each odd
+    multiple g*q up to degree _SIEVE_DEGREE. The q run in Gray-code order,
+    so each product is the last one XOR one shifted g. Each table is one
+    walk x^e -> x^(e+1) mod g, through a table of x*r mod g for every r,
+    until it returns to 1, so its length is the order of x mod g.
+    Independent of lam, so built once per process and shared as read-only
+    views of 16-bit arrays (225 tables, 105,309 entries).
     """
+    top = 1 << (_SIEVE_DEGREE + 1)
+    composite = bytearray(top)
     out = []
-    for g in range(3, 1 << (_SIEVE_DEGREE + 1), 2):
-        d = g.bit_length() - 1
-        if not is_irreducible(BitPoly(g, d + 1)):
+    for g in range(3, top, 2):
+        if composite[g]:
             continue
-        walk, r = [], 1
-        while not walk or r != 1:
+        d = g.bit_length() - 1
+        # the odd q of degree <= _SIEVE_DEGREE - d from q = 1: step j
+        # flips bit 1 + (the trailing zeros of j) of q
+        prod = g
+        for j in range(1, top >> (d + 1)):
+            prod ^= g << (j & -j).bit_length()
+            composite[prod] = 1
+        # x*r mod g for every r of degree < d: 2r, minus g from x^(d-1) up
+        step = [*range(0, 1 << d, 2),
+                *(r ^ g for r in range(1 << d, 2 << d, 2))]
+        walk, r = [1], step[1]
+        while r != 1:
             walk.append(r)
-            r <<= 1
-            if r >> d:
-                r ^= g
+            r = step[r]
         out.append((len(walk), memoryview(array("H", walk)).toreadonly()))
     return tuple(out)
 
@@ -814,8 +882,9 @@ def _scan_for_irreducible(lam: int) -> tuple[int, ...]:
        an even number of factors, and decides nothing when lam and a are
        both even;
     4. the Frobenius walk (:func:`_frobenius_walk`), Rabin's test and the
-       only judge of irreducibility; from degree D + 1 = 49 up it rejects
-       a candidate with a factor of degree <= D after D squares.
+       only judge of irreducibility; from degree 240 up it rejects a
+       candidate with a factor of degree <= 24 after 24 squares and one
+       with a factor of degree <= D = 48 after 48.
 
     Trinomials stop at m = lam/2: x^lam + x^m + 1 is irreducible exactly
     when its reciprocal x^lam + x^(lam-m) + 1 is, and that one came first.

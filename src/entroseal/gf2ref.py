@@ -19,6 +19,7 @@ __all__ = [
     "reduce_by_division",
     "irreducible_by_trial_division",
     "factor_count_berlekamp",
+    "smallest_factor_degree",
     "smallest_irreducible_lowweight_exhaustive",
 ]
 
@@ -171,6 +172,26 @@ def factor_count_berlekamp(f: int) -> int | None:
             row ^= basis[top]
         square = polydivmod(square << 2, f)[1]
     return d - len(basis)
+
+
+def smallest_factor_degree(f: int, up_to: int) -> int | None:
+    """Least degree e <= up_to of an irreducible factor of f, else None.
+
+    For f of degree >= 2: x^(2^e) - x is the product of the irreducibles
+    of degree dividing e, so the least e with gcd(f, x^(2^e) - x) != 1 is
+    the least factor degree. One square by :func:`clmul_shift_xor`, one
+    long division and one Euclid per e; shares no code with the
+    Frobenius walk in :mod:`entroseal.gf2`.
+    """
+    b = 2  # x^(2^e) mod f
+    for e in range(1, up_to + 1):
+        b = polydivmod(clmul_shift_xor(b, b), f)[1]
+        a, r = f, b ^ 2
+        while r:
+            a, r = r, polydivmod(a, r)[1]
+        if a != 1:
+            return e
+    return None
 
 
 def smallest_irreducible_lowweight_exhaustive(lam: int) -> int:

@@ -223,6 +223,12 @@ def check_indistinguishability(params: ExpansionParams, dx: Distribution,
     that makes this tight for the measured collision probability. The
     comparison is done on squares to stay in exact arithmetic: the
     check's value is delta^2 and its bound eps*^2.
+
+    The check cannot fail, on any distribution: by Cauchy-Schwarz,
+    delta <= 1/2 sqrt(|S| CP - 1), so delta^2 <= eps*^2 / 2. It records
+    how far below the bound the scheme sits, and a looser bound (such as
+    4 eps*^2) would change no verdict; even a pad of all zeros, at n = 3
+    and ell = 2 with a point mass, reads 49/64 against 7/2.
     """
     y = ciphertext_distribution(params, dx, budget)
     delta = distance_to_uniform(y)

@@ -30,8 +30,9 @@ from .keyexpand import ExpansionParams
 def gf2(seed: int) -> list[Check]:
     """Field arithmetic, the product kernel and the modulus search."""
     from . import gf2ref
-    from .gf2 import (_MODULUS_TABLE, _PREFILTER_DEGREE, _SIEVE_DEGREE,
-                      _WIDE_COMB_BITS, _frobenius_walk, _poly,
+    from .gf2 import (_CHECKPOINT_FROM, _CHECKPOINTS, _MODULUS_TABLE,
+                      _PREFILTER_DEGREE, _SIEVE_DEGREE, _WIDE_COMB_BITS,
+                      _frobenius_walk, _poly,
                       _stickelberger_reducible, _swan_reducible)
     out = []
     rng = random.Random(seed)
@@ -167,13 +168,15 @@ def gf2(seed: int) -> list[Check]:
                       "rejected": rejected}, ok and rejected > 0))
 
     # The Frobenius walk must reject a planted factor of degree from one
-    # above the sieve's reach up to D at its step-D checkpoint; division
-    # confirms the factor. A product of the wrong degree is a failed draw:
-    # the walk's fold would never end on it.
+    # above the sieve's reach up to D at its first checkpoint at or above
+    # the least degree of f's factors (the cofactor's by the reference);
+    # division confirms the factor. A product of the wrong degree is a
+    # failed draw: the walk's fold would never end on it.
     ok = True
     top = _PREFILTER_DEGREE
     low = _SIEVE_DEGREE + 1
-    for lam in (61, 130, 411):
+    lams = (_CHECKPOINT_FROM, 302, 411)
+    for lam in lams:
         for d in (low, 24, top):
             g = find_irreducible(d).modulus.value
             cofactors = (find_irreducible(lam - d).modulus.value,
@@ -183,11 +186,14 @@ def gf2(seed: int) -> list[Check]:
                 if f.bit_length() != lam + 1:
                     ok = False
                     continue
-                ok &= _frobenius_walk(f, lam) == top
+                least = min(d, gf2ref.smallest_factor_degree(h, d) or d)
+                ok &= _frobenius_walk(f, lam) == next(
+                    c for c in _CHECKPOINTS if least <= c)
                 ok &= gf2ref.polydivmod(f, g)[1] == 0
     out.append(Check("early-abort-vs-division",
-                     {"lam": "61,130,411", "deg_g": f"{low},24,{top}",
-                      "cofactors": 2, "reject_step": top}, ok))
+                     {"lam": ",".join(map(str, lams)),
+                      "deg_g": f"{low},24,{top}", "cofactors": 2,
+                      "checkpoints": ",".join(map(str, _CHECKPOINTS))}, ok))
     return out
 
 

@@ -60,6 +60,13 @@ class TestDeriveKeyLength:
         # boundary t = 2 log2(1/eps) - 5 itself is admissible
         assert derive_key_length(64, 15, 2.0 ** -10, Mode.CLASSICAL) == 64
 
+    def test_classical_floor_refuses_a_key_one_bit_longer_than_n(self):
+        # 100 - 14 + 2*10 - 5 = 101 = n + 1: the classical key may not
+        # exceed the message, not even by one bit
+        with pytest.raises(ParameterError, match="2\\*log2"):
+            derive_key_length(100, 14, 2.0 ** -10, "classical")
+        assert derive_key_length(100, 15, 2.0 ** -10, "classical") == 100
+
     def test_key_longer_than_pad_is_an_error(self):
         # classical mode cannot reach this branch: t >= 2 log2(1/eps) - 5
         # already forces ell <= n, so only quantum sizing can overflow

@@ -32,6 +32,7 @@ from entroseal.gf2ref import (
     irreducible_by_trial_division,
     polydivmod,
     reduce_by_division,
+    smallest_factor_degree,
     smallest_irreducible_lowweight_exhaustive,
 )
 
@@ -182,9 +183,9 @@ SWITCH_WIDTHS = (NIBBLE, NIBBLE + 1, WIDE - 1, WIDE, WIDE + 1,
                  6143, 6144, 6145, 12287, 12289,
                  BIG - 1, BIG, BIG + 1, 2 * BIG - 1, 2 * BIG + 1,
                  16397, 32768)
-# The comb's step follows the narrower operand alone, so a wider operand
-# past a switch does not move it; the kernel swaps so that either operand
-# order reaches the same comb.
+# The comb's step follows the narrower operand, and also the wider one
+# on the rule (nb - 640) * na > _WIDE_COMB_AREA; the kernel swaps so that
+# either operand order reaches the same comb.
 SWITCH_UNEQUAL = (
     (32768, 16397),  # criterion 08's baseline: r times a half-width key
     (2 * BIG + 1, (3 * BIG) // 2 + 1),  # about three quarters as wide
@@ -198,6 +199,11 @@ SWITCH_UNEQUAL = (
     (12289, 9216),  # the same at 192 and 144 words
     (12289, 9217),  # both one bit past whole steps
     (18432, 13),  # one 4-bit window pass over a 288-word table
+    # the two sides of the area rule at na = 2^14: 8-bit windows, then
+    # 64-bit steps; a key of 2048 bits against a 32768-bit u
+    (16384, 1408),
+    (16384, 1409),
+    (32768, 2048),
 )
 
 
@@ -215,6 +221,26 @@ def test_clmul_matches_shift_xor_across_the_karatsuba_split(na, nb):
         if nb < na:
             wide_b = BitPoly(b, nb).resize(na)
             assert clmul(BitPoly(a, na), wide_b) == BitPoly(want, 2 * na)
+
+
+@pytest.mark.parametrize("na,nb,wide", [
+    (WIDE, WIDE, False), (WIDE + 1, WIDE + 1, True),
+    (16384, 1408, False), (16384, 1409, True), (32768, 1024, False),
+    (32768, 1025, True), (32768, 2048, True), (2123, 2123, False)])
+def test_comb_takes_64_bit_steps_by_both_widths(monkeypatch, na, nb, wide):
+    # (nb - 640) * na > _WIDE_COMB_AREA = 3 * 2^22 sends a narrower operand
+    # of up to WIDE bits to the 64-bit steps; 2123^2 (the README example)
+    # keeps 8-bit windows
+    calls = []
+    comb_wide = gf2._comb_wide
+
+    def record(a, b):
+        calls.append((a.bit_length(), b.bit_length()))
+        return comb_wide(a, b)
+    monkeypatch.setattr(gf2, "_comb_wide", record)
+    a, b = (1 << (na - 1)) | 1, (1 << (nb - 1)) | 3
+    assert clmul(BitPoly(b, nb), BitPoly(a, na)).value == clmul_shift_xor(a, b)
+    assert calls == ([(na, nb)] if wide else [])
 
 
 @pytest.mark.parametrize("width", [NIBBLE + 1, WIDE + 1, 6145, BIG + 1])
@@ -631,6 +657,26 @@ def test_small_factor_sieve_matches_trial_division():
         assert seen == {True, False}
 
 
+def test_sieve_tables_match_a_plain_walk():
+    # table by table, in order: for every odd g of degree <= depth that
+    # trial division finds irreducible, one walk of x^e mod g (shift, and
+    # subtract g on overflow) until it returns to 1
+    depth = gf2._SIEVE_DEGREE
+    want = []
+    for g in range(3, 1 << (depth + 1), 2):
+        if not irreducible_by_trial_division(g):
+            continue
+        walk, r = [], 1
+        while not walk or r != 1:
+            walk.append(r)
+            r = polydivmod(r << 1, g)[1]
+        want.append((len(walk), walk))
+    got = [(period, list(cyc)) for period, cyc in gf2._sieve_cycles()]
+    assert len(got) == len(want) == 225
+    for (period, cyc), expected in zip(got, want):
+        assert (period, cyc) == expected, expected[1][:4]
+
+
 def test_rabin_dense_fallback_agrees_with_trial_division():
     # more than 16 non-leading terms: each square is reduced by division
     rng = random.Random(0xDE45E)
@@ -661,31 +707,53 @@ def squares(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("lam", [61, 130, 411, 603])
+# The walk's checkpoints start at this degree.
+CHECKED = gf2._CHECKPOINT_FROM
+
+
+def _reject_step(lam, degrees):
+    """Where the walk rejects a reducible f of degree lam whose factors of
+    degree <= D have the given degrees: at the first checkpoint at or
+    above the least of them (each checkpoint's stops hold a multiple of
+    every degree up to it), or by Rabin's verdict at step lam."""
+    if lam < CHECKED or not degrees:
+        return lam
+    return next(c for c in gf2._CHECKPOINTS if min(degrees) <= c)
+
+
+# 61 and 130 lie below the checkpoints' start; the other four at or above.
+@pytest.mark.parametrize("lam", [61, 130, CHECKED, CHECKED + 62, 411, 603])
 def test_prefilter_rejects_a_planted_factor(squares, lam):
-    # the pre-filter is the walk's checkpoint at step D: a factor of degree
-    # just above the sieve's up to D, with an irreducible and a random
-    # cofactor, costs D squares; the two lowest lie at or below D/2, so
-    # only their multiples catch them
+    # a factor of degree just above the sieve's up to D, with an
+    # irreducible and a random cofactor, is rejected at the first
+    # checkpoint that catches one of f's factors, after exactly that many
+    # squares: 24 for a factor of degree <= 24 (the two lowest only
+    # through their multiples), 48 for one in (24, 48]; below CHECKED,
+    # the walk has no checkpoint and Rabin's verdict rejects f at lam
     rng = random.Random(lam)
     top = gf2._PREFILTER_DEGREE
+    steps = set()
     for d in (gf2._SIEVE_DEGREE + 1, 24, top):
         g = find_irreducible(d).modulus.value
         for h in (find_irreducible(lam - d).modulus.value,
                   (1 << (lam - d)) | rng.getrandbits(lam - d) | 1):
             f = clmul_shift_xor(g, h)
             assert polydivmod(f, g)[1] == 0
+            low = smallest_factor_degree(h, top)
+            want = _reject_step(lam, [d] + ([low] if low else []))
             squares[0] = 0
-            assert gf2._frobenius_walk(f, lam) == top, (lam, d)
-            assert squares[0] == top, (lam, d)
+            assert gf2._frobenius_walk(f, lam) == want, (lam, d)
+            assert squares[0] == want, (lam, d)
+            steps.add(want)
+    assert steps == ({lam} if lam < CHECKED else set(gf2._CHECKPOINTS))
 
 
 def test_a_factor_just_above_the_sieve_is_left_to_the_walk():
     # the seam between the two tests: a factor of degree _SIEVE_DEGREE + 1,
     # planted with an irreducible cofactor of degree above D, passes the
-    # sieve and is rejected at the walk's step-D checkpoint
+    # sieve and is rejected at the walk's first checkpoint
     d = gf2._SIEVE_DEGREE + 1
-    lam = 130
+    lam = CHECKED
     h = find_irreducible(lam - d).modulus.value
     planted = [g for g in range(1 << d, 1 << (d + 1))
                if irreducible_by_trial_division(g)]
@@ -693,17 +761,19 @@ def test_a_factor_just_above_the_sieve_is_left_to_the_walk():
     for g in planted:
         f = clmul_shift_xor(g, h)
         assert not _has_small_factor(f, lam), hex(g)
-        assert gf2._frobenius_walk(f, lam) == gf2._PREFILTER_DEGREE, hex(g)
+        assert gf2._frobenius_walk(f, lam) == gf2._CHECKPOINTS[0], hex(g)
 
 
 # Every degree from D + 1 = 49 to 511 that the goldens pin (none is a
-# table degree), where the walk's checkpoint is new, and three above:
-# 603 is scanned, 1037 and 2123 served from the table.
-@pytest.mark.parametrize("lam", [*range(49, 161), *range(171, 512, 48),
-                                 603, 1037, 2123])
+# table degree) and three above: 603 is scanned, 1037 and 2123 served from
+# the table. The walk has checkpoints from CHECKED up, so the degrees from
+# CHECKED - 1 to CHECKED + 63 cover their start.
+@pytest.mark.parametrize("lam", sorted({
+    *range(49, 161), *range(171, 512, 48), 603, 1037, 2123,
+    *range(CHECKED - 1, CHECKED + 64)}))
 def test_prefilter_passes_irreducible_moduli(squares, lam):
     # an irreducible of degree lam > D has no factor of degree <= D, so
-    # the walk passes its checkpoint and ends: lam squares, verdict 0
+    # the walk passes its checkpoints and ends: lam squares, verdict 0
     f = find_irreducible(lam).modulus.value
     squares[0] = 0
     assert gf2._frobenius_walk(f, lam) == 0
@@ -713,9 +783,9 @@ def test_prefilter_passes_irreducible_moduli(squares, lam):
 @pytest.mark.parametrize("lam", [603, 1083])
 def test_one_walk_decides_each_scan_candidate(monkeypatch, squares, lam):
     # counts work, not time: each candidate the sieve passes is walked
-    # once, so it costs D squares (a small factor) or lam (Rabin's verdict),
-    # and the irreducible answer exactly lam; a separate small-factor walk
-    # before Rabin's test would add D to the latter
+    # once, so it costs 24 or 48 squares (a small factor) or lam (Rabin's
+    # verdict), and the irreducible answer exactly lam; a separate
+    # small-factor walk before Rabin's test would add to the latter
     starts = []
     has_small_factor = gf2._has_small_factor
 
@@ -728,19 +798,31 @@ def test_one_walk_decides_each_scan_candidate(monkeypatch, squares, lam):
     ends = [at for _, at in starts[1:]] + [squares[0]]
     costs = [end - at for (_, at), end in zip(starts, ends)]
     assert costs[-1] == lam
-    top = gf2._PREFILTER_DEGREE
-    assert set(costs) <= {0, top, lam}
-    assert top in costs  # the checkpoint rejected some candidate
+    assert set(costs) <= {0, *gf2._CHECKPOINTS, lam}
+    assert set(gf2._CHECKPOINTS) & set(costs)  # a checkpoint rejected some
 
 
 def test_products_of_factors_above_d_reach_rabin_and_fail():
-    # they pass the checkpoint, and Rabin's verdict at step lam rejects them
+    # they pass the checkpoints, and Rabin's verdict at step lam rejects
+    # them; every product is of degree CHECKED or more
     top = gf2._PREFILTER_DEGREE
-    pairs = ((top + 1, top + 1), (top + 1, top + 7), (top + 13, 2 * top))
+    pairs = ((top + 1, CHECKED - top - 1), (top + 1, CHECKED - top + 5),
+             (top + 13, CHECKED))
     for d1, d2 in pairs:
         f = clmul_shift_xor(find_irreducible(d1).modulus.value,
                             find_irreducible(d2).modulus.value)
         assert gf2._frobenius_walk(f, d1 + d2) == d1 + d2
+
+
+def test_walk_stops_are_rabins_and_the_checkpoint_range():
+    # below CHECKED only Rabin's stops lam/p; from CHECKED up also every k
+    # in (12, 48], with a gcd after 24 and 48 only
+    assert gf2._walk_stops(CHECKED - 1) == ((1, False),)  # 239 is prime
+    assert gf2._walk_stops(96) == ((32, False), (48, False))
+    lam = 603  # 3^2 * 67: Rabin's stops 9 and 201
+    stops = gf2._walk_stops(lam)
+    assert [k for k, _ in stops] == [9, *range(13, 49), 201]
+    assert [k for k, check in stops if check] == list(gf2._CHECKPOINTS)
 
 
 def test_trinomial_and_its_reciprocal_agree():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entroseal import statlab
 from entroseal.errors import BudgetError, LengthError, PreconditionError
 from entroseal.gf2 import BitPoly
 from entroseal.keyexpand import ExpansionParams, expand_affine
@@ -214,6 +215,24 @@ class TestSecurityChecks:
                     assert dict(rep.context)["lambda_gt_ell"] == (
                         params.lam != ell)
                     assert rep.value <= rep.bound
+
+    def test_collision_bound_fails_on_an_all_zero_pad(self, monkeypatch):
+        # a pad that ignores the key sends the payload in the clear. At
+        # n = 3, ell = 2 the bound is 2^-6 (1 + 2 CP(X)): a point mass then
+        # collides with probability 1/8, 8/3 times its bound 3/64, and a
+        # flat 2-bit subset with 1/32, 4/3 times its bound 3/128, which a
+        # bound read twice as loose would pass
+        monkeypatch.setattr(statlab, "expand_affine",
+                            lambda k, u, v, params: BitPoly(0, params.n))
+        params = ExpansionParams.classical(3, 2)
+        for dx, lhs, bound in ((point_mass(3, 5), Fraction(1, 8),
+                                Fraction(3, 64)),
+                               (flat_subset(3, 2), Fraction(1, 32),
+                                Fraction(3, 128))):
+            rep = check_collision_bound(params, dx, label="zero-pad")
+            assert (rep.value, rep.bound) == (lhs, bound)
+            assert not rep.passed
+            assert rep.line().startswith("FAIL collision-bound")
 
     def test_collision_bound_report_shape(self):
         rep = check_collision_bound(ExpansionParams.classical(3, 3),
