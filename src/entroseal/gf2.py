@@ -9,10 +9,9 @@ and :func:`reduce_cost` count the two-input AND and XOR gates a hardware
 realization of the chosen :class:`Backend` would use. Every product is
 evaluated by one windowed comb (Horner's rule over a table of multiples
 of the wider operand), with no Karatsuba split. A comb over a narrower
-operand of more than about 3.5 kbit, or of a few kbit against a much
-wider one, reads it 64 bits a step through 16 nibble tables, so that
-each step costs one big-int shift, not eight (Lopez & Dahab, INDOCRYPT
-2000). Karatsuba is only a count model
+operand of more than about 3.5 kbit reads it 64 bits a step through 16
+nibble tables, so that each step costs one big-int shift, not eight
+(Lopez & Dahab, INDOCRYPT 2000). Karatsuba is only a count model
 (``Backend.KARATSUBA``). The counting rules are mirrored bit-serially in
 :mod:`entroseal.gf2ref` and the two are tested against each other.
 
@@ -188,18 +187,11 @@ class Backend(enum.Enum):
 # entries, which only pay off over many bytes), 8-bit windows up to
 # _WIDE_COMB_BITS and 64-bit Horner steps above (where the seven big-int
 # shifts they save per 64 bits cost more than the eight XORs they add).
-# A narrower operand of nb bits takes 64-bit steps also against a wider
-# one of na bits with (nb - 640) * na > _WIDE_COMB_AREA: their saving
-# grows with both widths, their set-up does not. That fits a sweep of na
-# from 2123 to 131072 and nb from 897 to 3456: 8-bit windows took 201 us
-# against 159 us for 64-bit steps at 32768x2048, but 77 against 89 us at
-# 16384x1025.
 # Horner's rule runs over blocks of _COMB_BLOCK windows or
 # _WIDE_COMB_BLOCK 64-bit words, so that each step shifts a value about as
 # wide as the wider operand rather than the whole product.
 _NIBBLE_WINDOW_BITS = 896
 _WIDE_COMB_BITS = 3456
-_WIDE_COMB_AREA = 3 << 22
 _COMB_BLOCK = 64
 _WIDE_COMB_BLOCK = 16
 
@@ -210,14 +202,13 @@ _HIGH_NIBBLE = bytes(w >> 4 for w in range(256))
 def _comb_int(a: int, b: int) -> int:
     """Carry-less product of two coefficient masks (windowed comb).
 
-    With a the wider operand, of width na, and b the narrower, of width
-    nb: tabulates a*w for every k-bit window w, one XOR per entry, with
-    k = 4 or 8 by nb. Then walks every window of b, top first, in blocks:
-    within a block, part = part x^k + a*w (Horner's rule), and each
-    finished block is added into the product once, shifted into place. A
-    b wider than _WIDE_COMB_BITS, or one with (nb - 640) * na above
-    _WIDE_COMB_AREA, goes to :func:`_comb_wide`, which shifts once per 64
-    bits of b instead of once per window. No window is skipped, whatever
+    With a the wider operand and b the narrower, of width nb: up to
+    _WIDE_COMB_BITS of b, tabulates a*w for every k-bit window w, one XOR
+    per entry, with k = 4 or 8 by nb. Then walks every window of b, top
+    first, in blocks: within a block, part = part x^k + a*w (Horner's
+    rule), and each finished block is added into the product once, shifted
+    into place. A wider b goes to :func:`_comb_wide`, which shifts once per
+    64 bits of b instead of once per window. No window is skipped, whatever
     its value, and every branch depends on the operands' bit lengths only.
     The time grows with the product of the widths: there is no Karatsuba
     split, which would only pay off once b is wider than about 40 kbit.
@@ -225,7 +216,7 @@ def _comb_int(a: int, b: int) -> int:
     if a.bit_length() < b.bit_length():
         a, b = b, a
     nb = b.bit_length()
-    if nb > _WIDE_COMB_BITS or (nb - 640) * a.bit_length() > _WIDE_COMB_AREA:
+    if nb > _WIDE_COMB_BITS:
         return _comb_wide(a, b)
     k = 8 if nb > _NIBBLE_WINDOW_BITS else 4
     table = _window_table(a, k)
@@ -495,20 +486,18 @@ def _square_mod(b: int, steps: int, f: int, lam: int,
     Each pass reduces b: a sparse f (``rest`` from :func:`_fold_exponents`)
     folds the bits at or above lam back through its non-leading terms until
     none is left, a dense f (``rest`` None) is divided out. The fold is one
-    unrolled expression for a trinomial or pentanomial with constant term
-    1, the shape of every modulus the scan returns, and a loop over the
-    exponents otherwise. While steps remain, b is then squared into one
-    reused buffer, each byte spread by the two nibble tables; this is what
-    makes degree-30000 tests practical.
+    unrolled expression for a pentanomial with constant term 1, the shape
+    of every table entry and of most candidates the scan walks, and a loop
+    over the exponents otherwise. While steps remain, b is then squared
+    into one reused buffer, each byte spread by the two nibble tables; this
+    is what makes degree-30000 tests practical.
     """
     nbytes = (lam + 7) // 8
     out = bytearray(2 * nbytes) if steps else None  # reduce_mod squares none
     low, high = _SPREAD_LOW, _SPREAD_HIGH
     mask = (1 << lam) - 1
-    terms = len(rest) if rest and rest[-1] == 0 else 0
-    if terms == 2:
-        e1, _ = rest
-    elif terms == 4:
+    pentanomial = rest is not None and len(rest) == 4 and rest[-1] == 0
+    if pentanomial:
         e1, e2, e3, _ = rest
     while True:
         if rest is None:
@@ -516,15 +505,10 @@ def _square_mod(b: int, steps: int, f: int, lam: int,
             while da > lam:
                 b ^= f << (da - lam - 1)
                 da = b.bit_length()
-        elif terms == 4:
+        elif pentanomial:
             hi = b >> lam
             while hi:
                 b = (b & mask) ^ hi ^ (hi << e3) ^ (hi << e2) ^ (hi << e1)
-                hi = b >> lam
-        elif terms == 2:
-            hi = b >> lam
-            while hi:
-                b = (b & mask) ^ hi ^ (hi << e1)
                 hi = b >> lam
         else:
             hi = b >> lam
@@ -552,10 +536,11 @@ def _square_mod(b: int, steps: int, f: int, lam: int,
 # (16, 48) and 617 at 64. The checkpoints start at degree
 # _CHECKPOINT_FROM, where they begin to pay in the sieved scan: it took
 # 8-17% longer with them from 171 to 239 (up to 68% lower down), as long
-# within 5% from 240 to 329, and 8-19% less from 330 to 639. Each walk
-# that passes them pays 36 more products, so is_irreducible on an
-# irreducible input takes 1.7x as long with them at degree 603 and 1.4x
-# at 2123.
+# within 5% from 240 to 329, and 8-19% less from 330 to 639. A walk that
+# passes them pays 36 products, where one gcd at 48 alone pays 24 and
+# none pays none: is_irreducible on an irreducible input of degree 603
+# took 954-1013 us against 870-880 with the gcd at 48 alone and 579 with
+# none, and at 2123 4.58-4.71 ms against 4.41-4.49 and 3.5.
 _PREFILTER_DEGREE = 48
 _CHECKPOINTS = (24, _PREFILTER_DEGREE)
 _CHECKPOINT_FROM = 240

@@ -183,9 +183,9 @@ SWITCH_WIDTHS = (NIBBLE, NIBBLE + 1, WIDE - 1, WIDE, WIDE + 1,
                  6143, 6144, 6145, 12287, 12289,
                  BIG - 1, BIG, BIG + 1, 2 * BIG - 1, 2 * BIG + 1,
                  16397, 32768)
-# The comb's step follows the narrower operand, and also the wider one
-# on the rule (nb - 640) * na > _WIDE_COMB_AREA; the kernel swaps so that
-# either operand order reaches the same comb.
+# The comb's step follows the narrower operand alone, so a wider operand
+# past a switch does not move it; the kernel swaps so that either operand
+# order reaches the same comb.
 SWITCH_UNEQUAL = (
     (32768, 16397),  # criterion 08's baseline: r times a half-width key
     (2 * BIG + 1, (3 * BIG) // 2 + 1),  # about three quarters as wide
@@ -199,8 +199,8 @@ SWITCH_UNEQUAL = (
     (12289, 9216),  # the same at 192 and 144 words
     (12289, 9217),  # both one bit past whole steps
     (18432, 13),  # one 4-bit window pass over a 288-word table
-    # the two sides of the area rule at na = 2^14: 8-bit windows, then
-    # 64-bit steps; a key of 2048 bits against a 32768-bit u
+    # keys of a few kbit against a much wider u (t near n), all on 8-bit
+    # windows
     (16384, 1408),
     (16384, 1409),
     (32768, 2048),
@@ -221,26 +221,6 @@ def test_clmul_matches_shift_xor_across_the_karatsuba_split(na, nb):
         if nb < na:
             wide_b = BitPoly(b, nb).resize(na)
             assert clmul(BitPoly(a, na), wide_b) == BitPoly(want, 2 * na)
-
-
-@pytest.mark.parametrize("na,nb,wide", [
-    (WIDE, WIDE, False), (WIDE + 1, WIDE + 1, True),
-    (16384, 1408, False), (16384, 1409, True), (32768, 1024, False),
-    (32768, 1025, True), (32768, 2048, True), (2123, 2123, False)])
-def test_comb_takes_64_bit_steps_by_both_widths(monkeypatch, na, nb, wide):
-    # (nb - 640) * na > _WIDE_COMB_AREA = 3 * 2^22 sends a narrower operand
-    # of up to WIDE bits to the 64-bit steps; 2123^2 (the README example)
-    # keeps 8-bit windows
-    calls = []
-    comb_wide = gf2._comb_wide
-
-    def record(a, b):
-        calls.append((a.bit_length(), b.bit_length()))
-        return comb_wide(a, b)
-    monkeypatch.setattr(gf2, "_comb_wide", record)
-    a, b = (1 << (na - 1)) | 1, (1 << (nb - 1)) | 3
-    assert clmul(BitPoly(b, nb), BitPoly(a, na)).value == clmul_shift_xor(a, b)
-    assert calls == ([(na, nb)] if wide else [])
 
 
 @pytest.mark.parametrize("width", [NIBBLE + 1, WIDE + 1, 6145, BIG + 1])

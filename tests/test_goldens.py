@@ -58,8 +58,8 @@ MODULI = {
 # SHA-256s over the non-leading exponents of scanned moduli, none a table
 # entry. The scan only ever skips reducible candidates early: trinomials
 # Swan's theorem proves reducible (from their exponents alone), the
-# small-factor sieve, the Frobenius walk's early small-factor gcd from
-# degree 49 up, and the trinomial cut at lambda/2. So no change to it may
+# small-factor sieve, the Frobenius walk's early small-factor gcds from
+# degree 240 up, and the trinomial cut at lambda/2. So no change to it may
 # move a modulus. The first covers every lambda in 1..160 and four larger
 # degrees.
 SCANNED_LAMS = (*range(1, 161), 171, 315, 411, 603)
