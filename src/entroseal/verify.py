@@ -23,17 +23,17 @@ import random
 
 from ._record import Check
 from .gf2 import (Backend, BitPoly, clmul, clmul_cost, find_irreducible,
-                  gf_mul, is_irreducible, reduce_mod)
+                  gf_mul, reduce_mod)
 from .keyexpand import ExpansionParams
 
 
 def gf2(seed: int) -> list[Check]:
     """Field arithmetic, the product kernel and the modulus search."""
     from . import gf2ref
-    from .gf2 import (_CHECKPOINT_FROM, _CHECKPOINTS, _MODULUS_TABLE,
-                      _PREFILTER_DEGREE, _SIEVE_DEGREE, _WIDE_COMB_BITS,
-                      _frobenius_walk, _poly,
-                      _stickelberger_reducible, _swan_reducible)
+    from .gf2 import _MODULUS_TABLE, _WIDE_COMB_BITS, _poly
+    from .modulus import (_CHECKPOINT_FROM, _CHECKPOINTS, _SIEVE_DEGREE,
+                          _frobenius_walk, _stickelberger_reducible,
+                          _swan_reducible, is_irreducible)
     out = []
     rng = random.Random(seed)
 
@@ -173,7 +173,7 @@ def gf2(seed: int) -> list[Check]:
     # division confirms the factor. A product of the wrong degree is a
     # failed draw: the walk's fold would never end on it.
     ok = True
-    top = _PREFILTER_DEGREE
+    top = _CHECKPOINTS[-1]
     low = _SIEVE_DEGREE + 1
     lams = (_CHECKPOINT_FROM, 302, 411)
     for lam in lams:

@@ -50,6 +50,14 @@ class TestDeriveKeyLength:
             ell = derive_key_length(100, 50, 2.0 ** -k, Mode.CLASSICAL)
             assert ell == 100 - 50 + 2 * k - 5
 
+    @pytest.mark.parametrize("mode, want", [(Mode.CLASSICAL, 2124),
+                                            (Mode.QUANTUM, 2132)])
+    def test_a_thousandth_above_an_integer_rounds_up(self, mode, want):
+        # 4096 - 2047.9995 + 2*40 - 5 = 2123.0005, and + 3 = 2131.0005 in
+        # quantum mode: the ceiling goes up to the next integer, however
+        # close the value lies above the one below
+        assert derive_key_length(4096, 2047.9995, 2 ** -40, mode) == want
+
     def test_non_dyadic_epsilon_ceils(self):
         # 2 log2(10) = 6.6438...; 16 - 8 + 6.6438 - 5 = 9.6438 -> 10
         assert derive_key_length(16, 8, 0.1, Mode.CLASSICAL) == 10

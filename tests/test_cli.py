@@ -243,7 +243,8 @@ class TestEncryptDecrypt:
         # off-table size whose modulus is scanned (64 B at t=256: lam=331).
         # Nor do they load the labs, the benchmark module or the stdlib
         # modules only those (and dataclasses) need; the exit message
-        # names any that were loaded.
+        # names any that were loaded. The modulus search loads only for
+        # the scanned size.
         script = """
 import sys
 from pathlib import Path
@@ -259,6 +260,9 @@ for size, t, lam in ((512, "2048", 2123), (64, "256", 331)):
     assert main(["decrypt", str(d / "c.ese"), "--key", key,
                  "--out", str(d / "back.bin")]) == 0
     assert (d / "back.bin").read_bytes() == plain
+    searched = "entroseal.modulus" in sys.modules
+    if searched != (lam == 331):
+        sys.exit(f"entroseal.modulus loaded: {searched} after lambda={lam}")
 unused = ("numpy", "dataclasses", "inspect", "statistics", "json",
           "entroseal.bench", "entroseal.statlab", "entroseal.qlab",
           "entroseal.gf2ref", "entroseal.verify")

@@ -2,13 +2,15 @@
 references, reduction against long division, and the modulus scan against
 an exhaustive low-weight search."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroseal import gf2
+from entroseal import gf2, modulus
 from entroseal.errors import LengthError, PreconditionError
 from entroseal.gf2 import (
     Backend,
@@ -19,7 +21,6 @@ from entroseal.gf2 import (
     clmul_cost,
     find_irreducible,
     gf_mul,
-    is_irreducible,
     lsb_truncate,
     reduce_cost,
     reduce_mod,
@@ -35,6 +36,7 @@ from entroseal.gf2ref import (
     smallest_factor_degree,
     smallest_irreducible_lowweight_exhaustive,
 )
+from entroseal.modulus import is_irreducible
 
 AES_SPEC = FieldSpec.from_modulus(BitPoly(0x11B, 9))
 
@@ -489,7 +491,7 @@ def test_lsb_truncate():
 
 
 # ---------------------------------------------------------------------------
-# Irreducibility and the modulus scan
+# Irreducibility and the modulus scan (entroseal.modulus)
 # ---------------------------------------------------------------------------
 
 def test_is_irreducible_exhaustive_low_degree():
@@ -550,8 +552,8 @@ def test_rabin_agrees_with_trial_division_from_degree_one():
     # odd mask up to degree 14 runs the fused square-and-fold walk.
     for f in range(3, 1 << 15, 2):
         want = irreducible_by_trial_division(f)
-        assert (gf2._frobenius_walk(f, f.bit_length() - 1) == 0) == want
-    assert gf2._scan_for_irreducible(1) == (0,)  # x + 1
+        assert (modulus._frobenius_walk(f, f.bit_length() - 1) == 0) == want
+    assert modulus.scan(1) == (0,)  # x + 1
 
 
 def test_find_irreducible_is_cached():
@@ -594,29 +596,29 @@ def test_modulus_table_entries_are_irreducible():
 def test_modulus_table_entry_is_the_first_in_scan_order(lam):
     # the goldens pin whatever the table serves, so an irreducible entry
     # that the scan would pass over is caught only here
-    assert gf2._MODULUS_TABLE[lam] == gf2._scan_for_irreducible(lam)
+    assert gf2._MODULUS_TABLE[lam] == modulus.scan(lam)
 
 
 def _sieve(lam):
     """The scan's sieve at lam: each shared cycle table, with its base
     x^lam + 1 mod g."""
     return [(period, cyc, cyc[lam % period] ^ 1)
-            for period, cyc in gf2._sieve_cycles()]
+            for period, cyc in modulus._sieve_cycles()]
 
 
 def _has_small_factor(f, lam):
-    return gf2._has_small_factor(gf2._exponents_desc(f ^ (1 << lam)),
+    return modulus._has_small_factor(gf2._exponents_desc(f ^ (1 << lam)),
                                  _sieve(lam))
 
 
 def test_small_factor_sieve_matches_trial_division():
     # one process, two lambdas: the lam-independent cycle tables are built
     # once and shared, and each sieve must still answer for its own lam
-    depth = gf2._SIEVE_DEGREE
+    depth = modulus._SIEVE_DEGREE
     small = [g for g in range(3, 1 << (depth + 1), 2)
              if irreducible_by_trial_division(g)]
     # one table for every irreducible of degree <= depth but x
-    assert len(gf2._sieve_cycles()) == len(small)
+    assert len(modulus._sieve_cycles()) == len(small)
     rng = random.Random(0x51E7E)
     for lam in (61, 130):
         candidates = []
@@ -641,7 +643,7 @@ def test_sieve_tables_match_a_plain_walk():
     # table by table, in order: for every odd g of degree <= depth that
     # trial division finds irreducible, one walk of x^e mod g (shift, and
     # subtract g on overflow) until it returns to 1
-    depth = gf2._SIEVE_DEGREE
+    depth = modulus._SIEVE_DEGREE
     want = []
     for g in range(3, 1 << (depth + 1), 2):
         if not irreducible_by_trial_division(g):
@@ -651,7 +653,7 @@ def test_sieve_tables_match_a_plain_walk():
             walk.append(r)
             r = polydivmod(r << 1, g)[1]
         want.append((len(walk), walk))
-    got = [(period, list(cyc)) for period, cyc in gf2._sieve_cycles()]
+    got = [(period, list(cyc)) for period, cyc in modulus._sieve_cycles()]
     assert len(got) == len(want) == 225
     for (period, cyc), expected in zip(got, want):
         assert (period, cyc) == expected, expected[1][:4]
@@ -668,7 +670,7 @@ def test_rabin_dense_fallback_agrees_with_trial_division():
             f ^= 1 << e
         assert gf2._fold_exponents(gf2._exponents_desc(f ^ (1 << d))) is None
         want = irreducible_by_trial_division(f)
-        assert (gf2._frobenius_walk(f, d) == 0) == want, hex(f)
+        assert (modulus._frobenius_walk(f, d) == 0) == want, hex(f)
         seen.add(want)
     assert seen == {True, False}
 
@@ -676,19 +678,19 @@ def test_rabin_dense_fallback_agrees_with_trial_division():
 @pytest.fixture
 def squares(monkeypatch):
     """A one-item list counting the squaring steps of every _square_mod
-    call from here on (a bare remainder counts none)."""
+    call the search makes from here on (a bare remainder counts none)."""
     count = [0]
-    square_mod = gf2._square_mod
+    square_mod = modulus._square_mod
 
     def counted(b, steps, *args):
         count[0] += steps
         return square_mod(b, steps, *args)
-    monkeypatch.setattr(gf2, "_square_mod", counted)
+    monkeypatch.setattr(modulus, "_square_mod", counted)
     return count
 
 
 # The walk's checkpoints start at this degree.
-CHECKED = gf2._CHECKPOINT_FROM
+CHECKED = modulus._CHECKPOINT_FROM
 
 
 def _reject_step(lam, degrees):
@@ -698,7 +700,7 @@ def _reject_step(lam, degrees):
     every degree up to it), or by Rabin's verdict at step lam."""
     if lam < CHECKED or not degrees:
         return lam
-    return next(c for c in gf2._CHECKPOINTS if min(degrees) <= c)
+    return next(c for c in modulus._CHECKPOINTS if min(degrees) <= c)
 
 
 # 61 and 130 lie below the checkpoints' start; the other four at or above.
@@ -711,9 +713,9 @@ def test_prefilter_rejects_a_planted_factor(squares, lam):
     # through their multiples), 48 for one in (24, 48]; below CHECKED,
     # the walk has no checkpoint and Rabin's verdict rejects f at lam
     rng = random.Random(lam)
-    top = gf2._PREFILTER_DEGREE
+    top = modulus._CHECKPOINTS[-1]
     steps = set()
-    for d in (gf2._SIEVE_DEGREE + 1, 24, top):
+    for d in (modulus._SIEVE_DEGREE + 1, 24, top):
         g = find_irreducible(d).modulus.value
         for h in (find_irreducible(lam - d).modulus.value,
                   (1 << (lam - d)) | rng.getrandbits(lam - d) | 1):
@@ -722,17 +724,17 @@ def test_prefilter_rejects_a_planted_factor(squares, lam):
             low = smallest_factor_degree(h, top)
             want = _reject_step(lam, [d] + ([low] if low else []))
             squares[0] = 0
-            assert gf2._frobenius_walk(f, lam) == want, (lam, d)
+            assert modulus._frobenius_walk(f, lam) == want, (lam, d)
             assert squares[0] == want, (lam, d)
             steps.add(want)
-    assert steps == ({lam} if lam < CHECKED else set(gf2._CHECKPOINTS))
+    assert steps == ({lam} if lam < CHECKED else set(modulus._CHECKPOINTS))
 
 
 def test_a_factor_just_above_the_sieve_is_left_to_the_walk():
     # the seam between the two tests: a factor of degree _SIEVE_DEGREE + 1,
     # planted with an irreducible cofactor of degree above D, passes the
     # sieve and is rejected at the walk's first checkpoint
-    d = gf2._SIEVE_DEGREE + 1
+    d = modulus._SIEVE_DEGREE + 1
     lam = CHECKED
     h = find_irreducible(lam - d).modulus.value
     planted = [g for g in range(1 << d, 1 << (d + 1))
@@ -741,7 +743,7 @@ def test_a_factor_just_above_the_sieve_is_left_to_the_walk():
     for g in planted:
         f = clmul_shift_xor(g, h)
         assert not _has_small_factor(f, lam), hex(g)
-        assert gf2._frobenius_walk(f, lam) == gf2._CHECKPOINTS[0], hex(g)
+        assert modulus._frobenius_walk(f, lam) == modulus._CHECKPOINTS[0], hex(g)
 
 
 # Every degree from D + 1 = 49 to 511 that the goldens pin (none is a
@@ -756,7 +758,7 @@ def test_prefilter_passes_irreducible_moduli(squares, lam):
     # the walk passes its checkpoints and ends: lam squares, verdict 0
     f = find_irreducible(lam).modulus.value
     squares[0] = 0
-    assert gf2._frobenius_walk(f, lam) == 0
+    assert modulus._frobenius_walk(f, lam) == 0
     assert squares[0] == lam
 
 
@@ -767,42 +769,42 @@ def test_one_walk_decides_each_scan_candidate(monkeypatch, squares, lam):
     # verdict), and the irreducible answer exactly lam; a separate
     # small-factor walk before Rabin's test would add to the latter
     starts = []
-    has_small_factor = gf2._has_small_factor
+    has_small_factor = modulus._has_small_factor
 
     def start(exps, sieve):
         starts.append((gf2._poly(lam, exps), squares[0]))
         return has_small_factor(exps, sieve)
-    monkeypatch.setattr(gf2, "_has_small_factor", start)
+    monkeypatch.setattr(modulus, "_has_small_factor", start)
     answer = find_irreducible.__wrapped__(lam).modulus.value
     assert starts[-1][0] == answer
     ends = [at for _, at in starts[1:]] + [squares[0]]
     costs = [end - at for (_, at), end in zip(starts, ends)]
     assert costs[-1] == lam
-    assert set(costs) <= {0, *gf2._CHECKPOINTS, lam}
-    assert set(gf2._CHECKPOINTS) & set(costs)  # a checkpoint rejected some
+    assert set(costs) <= {0, *modulus._CHECKPOINTS, lam}
+    assert set(modulus._CHECKPOINTS) & set(costs)  # a checkpoint rejected some
 
 
 def test_products_of_factors_above_d_reach_rabin_and_fail():
     # they pass the checkpoints, and Rabin's verdict at step lam rejects
     # them; every product is of degree CHECKED or more
-    top = gf2._PREFILTER_DEGREE
+    top = modulus._CHECKPOINTS[-1]
     pairs = ((top + 1, CHECKED - top - 1), (top + 1, CHECKED - top + 5),
              (top + 13, CHECKED))
     for d1, d2 in pairs:
         f = clmul_shift_xor(find_irreducible(d1).modulus.value,
                             find_irreducible(d2).modulus.value)
-        assert gf2._frobenius_walk(f, d1 + d2) == d1 + d2
+        assert modulus._frobenius_walk(f, d1 + d2) == d1 + d2
 
 
 def test_walk_stops_are_rabins_and_the_checkpoint_range():
     # below CHECKED only Rabin's stops lam/p; from CHECKED up also every k
     # in (12, 48], with a gcd after 24 and 48 only
-    assert gf2._walk_stops(CHECKED - 1) == ((1, False),)  # 239 is prime
-    assert gf2._walk_stops(96) == ((32, False), (48, False))
+    assert modulus._walk_stops(CHECKED - 1) == ((1, False),)  # 239 is prime
+    assert modulus._walk_stops(96) == ((32, False), (48, False))
     lam = 603  # 3^2 * 67: Rabin's stops 9 and 201
-    stops = gf2._walk_stops(lam)
+    stops = modulus._walk_stops(lam)
     assert [k for k, _ in stops] == [9, *range(13, 49), 201]
-    assert [k for k, check in stops if check] == list(gf2._CHECKPOINTS)
+    assert [k for k, check in stops if check] == list(modulus._CHECKPOINTS)
 
 
 def test_trinomial_and_its_reciprocal_agree():
@@ -811,8 +813,8 @@ def test_trinomial_and_its_reciprocal_agree():
         for m in range(1, lam):
             f = (1 << lam) | (1 << m) | 1
             r = (1 << lam) | (1 << (lam - m)) | 1
-            assert (gf2._frobenius_walk(f, lam) == 0) == \
-                (gf2._frobenius_walk(r, lam) == 0), (lam, m)
+            assert (modulus._frobenius_walk(f, lam) == 0) == \
+                (modulus._frobenius_walk(r, lam) == 0), (lam, m)
 
 
 def _reciprocal(f):
@@ -836,12 +838,12 @@ def test_top_heavy_trinomial_is_tested_through_its_reciprocal(monkeypatch):
     # x^1279 + x^1278 + 1 folds each square in about 1279 rounds; its
     # reciprocal x^1279 + x + 1 in one
     seen = []
-    walk = gf2._frobenius_walk
+    walk = modulus._frobenius_walk
 
     def record(f, lam):
         seen.append(f)
         return walk(f, lam)
-    monkeypatch.setattr(gf2, "_frobenius_walk", record)
+    monkeypatch.setattr(modulus, "_frobenius_walk", record)
     heavy = (1 << 1279) | (1 << 1278) | 1
     light = (1 << 1279) | (1 << 1) | 1
     assert _reciprocal(heavy) == light
@@ -869,11 +871,11 @@ def test_square_matches_shift_and_xor(width):
 
 
 def test_sieve_tables_are_read_only():
-    period, cyc = gf2._sieve_cycles()[0]
+    period, cyc = modulus._sieve_cycles()[0]
     assert (period, list(cyc)) == (1, [1])  # x + 1: x = 1 mod x + 1
     with pytest.raises(TypeError):
         cyc[0] = 0
-    assert gf2._sieve_cycles()[0][1][0] == 1
+    assert modulus._sieve_cycles()[0][1][0] == 1
 
 
 def test_no_trinomials_at_degrees_divisible_by_eight():
@@ -895,7 +897,7 @@ def test_swan_rejects_only_reducible_trinomials_up_to_degree_20():
     rejected = 0
     for n in range(2, 21):
         for k in range(1, n):
-            if gf2._swan_reducible(n, k):
+            if modulus._swan_reducible(n, k):
                 rejected += 1
                 assert not irreducible_by_trial_division(_trinomial(n, k)), \
                     (n, k)
@@ -906,7 +908,7 @@ def test_swan_rejects_only_reducible_trinomials_from_degree_21_to_200():
     rejected = 0
     for n in range(21, 201):
         for k in range(1, n):
-            if gf2._swan_reducible(n, k):
+            if modulus._swan_reducible(n, k):
                 rejected += 1
                 assert not is_irreducible(BitPoly(_trinomial(n, k), n + 1)), \
                     (n, k)
@@ -927,8 +929,8 @@ IRREDUCIBLE_TRINOMIALS = (
 def test_swan_never_rejects_an_irreducible_trinomial():
     for n, k in IRREDUCIBLE_TRINOMIALS:
         assert is_irreducible(BitPoly(_trinomial(n, k), n + 1)), (n, k)
-        assert not gf2._swan_reducible(n, k), (n, k)
-        assert not gf2._swan_reducible(n, n - k), (n, n - k)
+        assert not modulus._swan_reducible(n, k), (n, k)
+        assert not modulus._swan_reducible(n, n - k), (n, n - k)
     assert {n % 8 for n, _ in IRREDUCIBLE_TRINOMIALS} == {1, 2, 3, 4, 5, 6, 7}
 
 
@@ -940,12 +942,12 @@ def test_swan_rejected_trinomials_reach_no_later_test(monkeypatch, lam):
     seen = []
 
     def record(name, mask):
-        test = getattr(gf2, name)
+        test = getattr(modulus, name)
 
         def wrapper(*args):
             seen.append(mask(*args))
             return test(*args)
-        monkeypatch.setattr(gf2, name, wrapper)
+        monkeypatch.setattr(modulus, name, wrapper)
     record("_has_small_factor", lambda exps, sieve: gf2._poly(lam, exps))
     record("_frobenius_walk", lambda f, n: f)
     find_irreducible.__wrapped__(lam)
@@ -955,7 +957,7 @@ def test_swan_rejected_trinomials_reach_no_later_test(monkeypatch, lam):
     assert trinomials, "some trinomial must still reach the sieve"
     for mid in trinomials:
         k = mid.bit_length() - 1
-        assert not gf2._swan_reducible(lam, k), (lam, k)
+        assert not modulus._swan_reducible(lam, k), (lam, k)
 
 
 def test_stickelberger_parity_matches_berlekamp_up_to_degree_32():
@@ -968,7 +970,7 @@ def test_stickelberger_parity_matches_berlekamp_up_to_degree_32():
         for a in range(3, lam):
             for b in range(2, a):
                 for c in range(1, b):
-                    verdict = gf2._stickelberger_reducible(lam, a, b, c)
+                    verdict = modulus._stickelberger_reducible(lam, a, b, c)
                     if verdict is None:
                         assert lam % 2 == 0 and a % 2 == 0, (lam, a, b, c)
                         continue
@@ -986,8 +988,8 @@ def test_parity_test_spares_walks_of_sieved_pentanomials(monkeypatch, lam):
     # walked than pass the sieve, and the answer is among those walked
     # (the sieve's own tables, if built here, walk lower degrees)
     passed, walked = [], []
-    has_small_factor = gf2._has_small_factor
-    walk = gf2._frobenius_walk
+    has_small_factor = modulus._has_small_factor
+    walk = modulus._frobenius_walk
 
     def sieve(exps, tables):
         found = has_small_factor(exps, tables)
@@ -999,8 +1001,8 @@ def test_parity_test_spares_walks_of_sieved_pentanomials(monkeypatch, lam):
         if n == lam and f.bit_count() == 5:
             walked.append(f)
         return walk(f, n)
-    monkeypatch.setattr(gf2, "_has_small_factor", sieve)
-    monkeypatch.setattr(gf2, "_frobenius_walk", record)
+    monkeypatch.setattr(modulus, "_has_small_factor", sieve)
+    monkeypatch.setattr(modulus, "_frobenius_walk", record)
     answer = find_irreducible.__wrapped__(lam).modulus.value
     assert walked[-1] == answer == passed[-1]
     assert set(walked) <= set(passed)
@@ -1011,7 +1013,7 @@ def test_scan_ends_after_the_last_pentanomial(monkeypatch):
     # with every degree-40 candidate rejected by the walk, the scan raises
     # once the pentanomials run out, and never walks a denser mask
     lam = 40
-    walk = gf2._frobenius_walk
+    walk = modulus._frobenius_walk
     weights = set()
 
     def reject(f, n):
@@ -1020,10 +1022,40 @@ def test_scan_ends_after_the_last_pentanomial(monkeypatch):
         assert f.bit_count() <= 5, hex(f)
         weights.add(f.bit_count())
         return n
-    monkeypatch.setattr(gf2, "_frobenius_walk", reject)
+    monkeypatch.setattr(modulus, "_frobenius_walk", reject)
     with pytest.raises(PreconditionError):
         find_irreducible.__wrapped__(lam)
     assert weights == {5}  # Swan's rule drops every trinomial: 8 | lam
+
+
+def _module_level(module):
+    """The top-level statements of a module's source."""
+    return ast.parse(pathlib.Path(module.__file__).read_text()).body
+
+
+def test_the_kernel_imports_the_search_only_inside_functions():
+    # modulus imports gf2; gf2 loads modulus only on a table miss or in
+    # from_modulus, so the two form no import cycle
+    for node in _module_level(gf2):
+        if isinstance(node, ast.ImportFrom):
+            names = {node.module} | {a.name for a in node.names}
+            assert not names & {"modulus", "entroseal.modulus"}, \
+                ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all(a.name != "entroseal.modulus" for a in node.names)
+
+
+def test_no_search_name_is_defined_in_the_kernel():
+    # each moved definition lives in modulus alone, with no alias in gf2
+    defined = set()
+    for node in _module_level(modulus):
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    defined.discard("__all__")
+    assert {"scan", "is_irreducible", "_frobenius_walk"} <= defined
+    assert not defined & set(vars(gf2)), defined & set(vars(gf2))
 
 
 # ---------------------------------------------------------------------------
