@@ -5,9 +5,15 @@ in GF(2^lambda) with lambda = max(ell, out_len - ell)) against the
 full-multiplication baselines (one multiplication in GF(2^n) classical,
 GF(2^2n) quantum). Halving the field size is what makes the affine map
 roughly a factor two cheaper in AND gates at matched security sizing.
-A backend picks the gate-count model only. Timing takes no backend: it
-measures the library's single evaluation kernel, once per method and
-size.
+
+:mod:`entroseal.gf2` computes every product; this module counts them.
+It holds the whole count model: clmul_cost and reduce_cost count the
+two-input AND and XOR gates of one carry-less multiply and one
+reduction, and count_expansion adds them up for one expansion. Their
+rules are mirrored bit-serially in :mod:`entroseal.gf2ref` and the two
+are tested against each other. A backend picks the gate-count model
+only. Timing takes no backend: it measures the library's single
+evaluation kernel, once per method and size.
 
 Each result is one plain dict, the row that ``entroseal bench --format
 json`` prints: count_record builds a backend's counts-only row,
@@ -20,15 +26,18 @@ from __future__ import annotations
 import enum
 import statistics
 import time
+from functools import lru_cache
 
-from .errors import PreconditionError
-from .gf2 import Backend, OpCount, clmul_cost, find_irreducible, reduce_cost
+from .errors import ConfigurationError, PreconditionError
+from .gf2 import Backend, FieldSpec, OpCount, find_irreducible
 from .keyexpand import ExpansionParams, Mode, expand_affine, expand_fullmul
 from .rng import RandomSource
 
 __all__ = [
     "Method",
     "baseline",
+    "clmul_cost",
+    "reduce_cost",
     "count_expansion",
     "count_record",
     "time_expansion",
@@ -60,6 +69,64 @@ def _width(method: Method, params: ExpansionParams) -> int:
         raise PreconditionError(
             f"{method.value} does not apply to {params.mode.value} mode")
     return params.out_len
+
+
+@lru_cache(maxsize=None)
+def _kara_cost(nbits: int) -> OpCount:
+    """Gates for Karatsuba at width nbits, split into ceil(v/2) + floor(v/2).
+
+    ANDs: A(1) = 1 and A(v) = 2 A(ceil(v/2)) + A(floor(v/2)). XORs:
+    X(1) = 0 and X(v) = 2 X(ceil(v/2)) + X(floor(v/2)) + 4v - 4: splitting
+    costs two half-width additions (2 ceil(v/2) <= v+1, counted exactly
+    below), and recombining xors the middle product into the overlap.
+    """
+    if nbits <= 1:
+        return OpCount(nbits, 0)
+    hi = _kara_cost((nbits + 1) // 2)
+    lo = _kara_cost(nbits // 2)
+    return OpCount(2 * hi.ands + lo.ands,
+                   2 * hi.xors + lo.xors + 4 * nbits - 4)
+
+
+def clmul_cost(na: int, nb: int, backend: Backend = Backend.SCHOOLBOOK) -> OpCount:
+    """Gate count for a carry-less multiply of widths na x nb.
+
+    Schoolbook uses na*nb ANDs and na*nb - (na + nb - 1) XORs: each output
+    bit is first written, then folded, so one XOR per partial product
+    beyond the first landing in each of the na+nb-1 output columns.
+    Karatsuba pads to the larger width and follows the recurrence exactly.
+    """
+    if na < 0 or nb < 0:
+        raise PreconditionError("widths must be nonnegative")
+    if na == 0 or nb == 0:
+        return OpCount(0, 0)
+    if backend is Backend.SCHOOLBOOK:
+        return OpCount(na * nb, na * nb - (na + nb - 1))
+    if backend is Backend.KARATSUBA:
+        return _kara_cost(max(na, nb))
+    raise ConfigurationError(f"unknown backend {backend!r}")
+
+
+def reduce_cost(width: int, spec: FieldSpec) -> OpCount:
+    """XOR count for reducing a width-bit polynomial modulo the field spec.
+
+    Folding the part above degree lam-1 back down costs (weight - 1) XORs
+    per excess bit, applied obliviously (data-independent), possibly over
+    several rounds when a fold re-creates high bits.
+    """
+    lam = spec.lam
+    if width > 2 * lam:
+        raise PreconditionError(
+            f"reduction input of {width} bits exceeds 2*lam = {2 * lam}"
+        )
+    top = spec.reduction_exponents[0] if spec.reduction_exponents else 0
+    xors = 0
+    cur = width
+    while cur > lam:
+        h = cur - lam
+        xors += (spec.weight - 1) * h
+        cur = lam if h + top <= lam else h + top
+    return OpCount(0, xors)
 
 
 def count_expansion(method: Method, params: ExpansionParams,

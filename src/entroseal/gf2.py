@@ -1,27 +1,29 @@
-"""Polynomials over GF(2) and binary-field arithmetic with exact gate counts.
+"""Polynomials over GF(2) and binary-field arithmetic: this module computes.
 
 A polynomial a(x) = sum a_i x^i with a_i in {0,1} is stored as a Python
 integer whose bit i is the coefficient a_i, together with an explicit
 bit-length so that fixed-width strings and polynomials share one type.
-Computing and counting are separate: :func:`clmul`, :func:`reduce_mod`
-and :func:`gf_mul` return only the exact product, while :func:`clmul_cost`
-and :func:`reduce_cost` count the two-input AND and XOR gates a hardware
-realization of the chosen :class:`Backend` would use. Every product is
-evaluated by one windowed comb (Horner's rule over a table of multiples
-of the wider operand), with no Karatsuba split. A comb over a narrower
-operand of more than about 3.5 kbit reads it 64 bits a step through 16
-nibble tables, so that each step costs one big-int shift, not eight
-(Lopez & Dahab, INDOCRYPT 2000). Karatsuba is only a count model
-(``Backend.KARATSUBA``). The counting rules are mirrored bit-serially in
-:mod:`entroseal.gf2ref` and the two are tested against each other.
+Computing and counting live in separate modules: :func:`clmul`,
+:func:`reduce_mod` and :func:`gf_mul` here return only the exact product,
+while :mod:`entroseal.bench` holds the count model, the rules for the
+two-input AND and XOR gates a hardware realization of the chosen
+:class:`Backend` would use. :class:`Backend` names a model and
+:class:`OpCount` holds a count; neither carries a counting rule, so both
+are defined here. Every product is evaluated by one windowed comb
+(Horner's rule over a table of multiples of the wider operand), with no
+Karatsuba split. A comb over a narrower operand of more than about
+3.5 kbit reads it 64 bits a step through 16 nibble tables, so that each
+step costs one big-int shift, not eight (Lopez & Dahab, INDOCRYPT 2000).
+Karatsuba is only a count model (``Backend.KARATSUBA``).
 
 One loop, :func:`_square_mod`, computes every remainder and every square
 modulo f: :func:`reduce_mod` calls it, and so do every step and product
 of the Frobenius walk in :mod:`entroseal.modulus`. It folds a sparse f
 through its non-leading terms until the value fits and divides a dense
-one out; only :func:`reduce_cost` knows the fixed round structure of the
-counted network. Only the standard library is used: squares are spread a
-byte at a time through ``bytes.translate`` tables into one reused buffer.
+one out; only ``bench.reduce_cost`` knows the fixed round structure of
+the counted network. Only the standard library is used: squares are
+spread a byte at a time through ``bytes.translate`` tables into one
+reused buffer.
 
 :func:`find_irreducible` picks each field's modulus on one path: a table
 of precomputed moduli or else the scan of :mod:`entroseal.modulus`,
@@ -39,7 +41,7 @@ import enum
 from functools import lru_cache
 
 from ._record import Record
-from .errors import ConfigurationError, LengthError, PreconditionError
+from .errors import LengthError, PreconditionError
 
 __all__ = [
     "BitPoly",
@@ -47,9 +49,7 @@ __all__ = [
     "Backend",
     "FieldSpec",
     "clmul",
-    "clmul_cost",
     "reduce_mod",
-    "reduce_cost",
     "gf_mul",
     "lsb_truncate",
     "find_irreducible",
@@ -266,47 +266,11 @@ def _nibbles(raw: bytes) -> bytearray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _kara_cost(nbits: int) -> OpCount:
-    """Gates for Karatsuba at width nbits, split into ceil(v/2) + floor(v/2).
-
-    ANDs: A(1) = 1 and A(v) = 2 A(ceil(v/2)) + A(floor(v/2)). XORs:
-    X(1) = 0 and X(v) = 2 X(ceil(v/2)) + X(floor(v/2)) + 4v - 4: splitting
-    costs two half-width additions (2 ceil(v/2) <= v+1, counted exactly
-    below), and recombining xors the middle product into the overlap.
-    """
-    if nbits <= 1:
-        return OpCount(nbits, 0)
-    hi = _kara_cost((nbits + 1) // 2)
-    lo = _kara_cost(nbits // 2)
-    return OpCount(2 * hi.ands + lo.ands,
-                   2 * hi.xors + lo.xors + 4 * nbits - 4)
-
-
-def clmul_cost(na: int, nb: int, backend: Backend = Backend.SCHOOLBOOK) -> OpCount:
-    """Gate count for a carry-less multiply of widths na x nb.
-
-    Schoolbook uses na*nb ANDs and na*nb - (na + nb - 1) XORs: each output
-    bit is first written, then folded, so one XOR per partial product
-    beyond the first landing in each of the na+nb-1 output columns.
-    Karatsuba pads to the larger width and follows the recurrence exactly.
-    """
-    if na < 0 or nb < 0:
-        raise PreconditionError("widths must be nonnegative")
-    if na == 0 or nb == 0:
-        return OpCount(0, 0)
-    if backend is Backend.SCHOOLBOOK:
-        return OpCount(na * nb, na * nb - (na + nb - 1))
-    if backend is Backend.KARATSUBA:
-        return _kara_cost(max(na, nb))
-    raise ConfigurationError(f"unknown backend {backend!r}")
-
-
 def clmul(a: BitPoly, b: BitPoly) -> BitPoly:
     """Carry-less (polynomial) product, of width ``a.nbits + b.nbits``.
 
     Evaluated by one windowed comb, :func:`_comb_int`, whatever the
-    width; gate counts come from :func:`clmul_cost`, whose Karatsuba
+    width; gate counts come from ``bench.clmul_cost``, whose Karatsuba
     backend only counts a split that is never evaluated.
     """
     return BitPoly(_comb_int(a.value, b.value), a.nbits + b.nbits)
@@ -353,35 +317,13 @@ class FieldSpec(Record):
         return cls(lam, modulus, _exponents_desc(modulus.value ^ (1 << lam)))
 
 
-def reduce_cost(width: int, spec: FieldSpec) -> OpCount:
-    """XOR count for reducing a width-bit polynomial modulo the field spec.
-
-    Folding the part above degree lam-1 back down costs (weight - 1) XORs
-    per excess bit, applied obliviously (data-independent), possibly over
-    several rounds when a fold re-creates high bits.
-    """
-    lam = spec.lam
-    if width > 2 * lam:
-        raise PreconditionError(
-            f"reduction input of {width} bits exceeds 2*lam = {2 * lam}"
-        )
-    top = spec.reduction_exponents[0] if spec.reduction_exponents else 0
-    xors = 0
-    cur = width
-    while cur > lam:
-        h = cur - lam
-        xors += (spec.weight - 1) * h
-        cur = lam if h + top <= lam else h + top
-    return OpCount(0, xors)
-
-
 def reduce_mod(p: BitPoly, spec: FieldSpec) -> BitPoly:
     """Reduce modulo the field's irreducible polynomial to lam bits.
 
     Accepts widths up to 2*lam (a full product of two field elements).
     A sparse modulus is folded through its non-leading terms until the
     value fits, a dense one divided out (:func:`_square_mod` with no
-    squaring); the gates are counted by :func:`reduce_cost` alone.
+    squaring); the gates are counted by ``bench.reduce_cost`` alone.
     """
     lam = spec.lam
     if p.nbits > 2 * lam:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import entroseal
-from entroseal import cli, gf2, statlab, verify
+from entroseal import cli, gf2, modulus, statlab, verify
 from entroseal.cipher import deserialize
 from entroseal.cli import _parse_epsilon, main
 from entroseal.errors import (ConfigurationError, DominationError,
@@ -615,8 +615,16 @@ def _classical_family(n, label):
 class TestVerifyGf2:
     @pytest.fixture(scope="class")
     def fresh_runs(self):
-        """Fresh interpreters that run `verify gf2`, about 1.5 s each. All
-        start at the first test that asks, so their runs overlap."""
+        """Fresh interpreters that run `verify gf2`, 1-4 s each. All
+        start at the first test that asks, so their runs overlap. Each
+        keeps only the table rows up to degree 4096: the Berlekamp counts
+        of the two widest rows take about half of the suite's time, and
+        the shared in-process run and the seed-0 pin judge all six."""
+        trim = """
+from entroseal import gf2
+gf2._MODULUS_TABLE = {lam: rest for lam, rest in gf2._MODULUS_TABLE.items()
+                      if lam <= 4096}
+"""
         scripts = {
             # the real suites, then the modules they loaded
             "lazy-imports": """
@@ -634,12 +642,22 @@ verify.clmul = lambda a, b: gf2.BitPoly(
     gf2._comb_int(a.value, b.value) << 1, a.nbits + b.nbits)
 sys.exit(cli.main(["verify", "gf2"]))
 """,
+            # a parity test whose every verdict is flipped, which drops
+            # the irreducible pentanomials the scan looks for
+            "broken-parity": """
+import sys
+from entroseal import cli, modulus
+judge = modulus._stickelberger_reducible
+modulus._stickelberger_reducible = lambda *args: (
+    None if judge(*args) is None else not judge(*args))
+sys.exit(cli.main(["verify", "gf2"]))
+""",
         }
         src = os.path.dirname(os.path.dirname(entroseal.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         procs = {name: subprocess.Popen(
-                     [sys.executable, "-c", script], env=env, text=True,
-                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                     [sys.executable, "-c", trim + script], env=env,
+                     text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
                  for name, script in scripts.items()}
         yield procs
         for proc in procs.values():
@@ -691,6 +709,51 @@ sys.exit(cli.main(["verify", "gf2"]))
         assert verdicts["backend-equivalence"] == "FAIL"
         assert verdicts["trinomial-parity-vs-division"] == "PASS"
         assert verdicts["pentanomial-parity-vs-berlekamp"] == "PASS"
+
+    def test_broken_swan_rule_fails_without_a_lookup(self, capsys,
+                                                     monkeypatch):
+        # Swan's rule with every verdict flipped drops irreducible
+        # trinomials. In process: a lookup raises here instead of scanning.
+        def lookup(lam):
+            raise AssertionError(f"looked up degree {lam}")
+        swan = modulus._swan_reducible
+        monkeypatch.setattr(modulus, "_swan_reducible",
+                            lambda n, k: not swan(n, k))
+        monkeypatch.setattr(verify, "find_irreducible", lookup)
+        monkeypatch.setattr(gf2, "_MODULUS_TABLE", {2123: (14, 11, 3, 0)})
+        rc, out, err = run(capsys, ["verify", "gf2"])
+        assert rc == 1, err
+        failed = [line.split()[1] for line in out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed == ["field-axioms-exhaustive",
+                          "inverses-exist-exhaustive", "reduce-vs-longdiv",
+                          "modulus-scan-vs-oracle",
+                          "trinomial-parity-vs-division",
+                          "early-abort-vs-division"]
+        assert out.count("skipped=parity-check-failed") == 5
+
+    def test_broken_parity_test_fails_instead_of_scanning(self, fresh_runs):
+        # A scan that trusts a wrong parity test may run for minutes or
+        # find no modulus, so every check that looks one up is reported
+        # FAIL without running; the checks that look none up still run.
+        proc = fresh_runs["broken-parity"]
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1, err
+        verdicts = {name: (verdict, "skipped=parity-check-failed" in rest)
+                    for verdict, name, *rest in map(str.split,
+                                                    out.splitlines())}
+        # every check, in its usual order
+        assert list(verdicts.items()) == [
+            ("field-axioms-exhaustive", ("FAIL", True)),
+            ("inverses-exist-exhaustive", ("FAIL", True)),
+            ("backend-equivalence", ("PASS", False)),
+            ("reduce-vs-longdiv", ("FAIL", True)),
+            ("modulus-scan-vs-oracle", ("FAIL", True)),
+            ("modulus-table-vs-berlekamp", ("PASS", False)),
+            ("trinomial-parity-vs-division", ("PASS", False)),
+            ("pentanomial-parity-vs-berlekamp", ("FAIL", False)),
+            ("early-abort-vs-division", ("FAIL", True)),
+        ]
 
 
 class TestBench:

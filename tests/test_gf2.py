@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroseal import gf2, modulus
+from entroseal import bench, gf2, modulus
+from entroseal.bench import clmul_cost, reduce_cost
 from entroseal.errors import LengthError, PreconditionError
 from entroseal.gf2 import (
     Backend,
@@ -18,11 +19,9 @@ from entroseal.gf2 import (
     FieldSpec,
     OpCount,
     clmul,
-    clmul_cost,
     find_irreducible,
     gf_mul,
     lsb_truncate,
-    reduce_cost,
     reduce_mod,
 )
 from entroseal.gf2ref import (
@@ -211,7 +210,7 @@ SWITCH_UNEQUAL = (
 
 @pytest.mark.parametrize("na,nb", [(w, w) for w in SWITCH_WIDTHS] + [
     p for na, nb in SWITCH_UNEQUAL for p in ((na, nb), (nb, na))])
-def test_clmul_matches_shift_xor_across_the_karatsuba_split(na, nb):
+def test_clmul_matches_shift_xor_across_the_comb_switches(na, nb):
     # a narrower operand also meets its value resized to the wider width,
     # as criterion 08 resizes its key; the value and product must not move
     rng = random.Random(na * 65537 + nb)
@@ -937,8 +936,7 @@ def test_swan_never_rejects_an_irreducible_trinomial():
 @pytest.mark.parametrize("lam", [603, 1002])
 def test_swan_rejected_trinomials_reach_no_later_test(monkeypatch, lam):
     # counts work, not time: record every candidate the sieve and the
-    # Frobenius walk see in one uncached scan (the sieve's own tables, if
-    # built here, walk lower degrees)
+    # Frobenius walk see in one uncached scan
     seen = []
 
     def record(name, mask):
@@ -986,7 +984,6 @@ def test_stickelberger_parity_matches_berlekamp_up_to_degree_32():
 def test_parity_test_spares_walks_of_sieved_pentanomials(monkeypatch, lam):
     # counts work, not time: in one uncached scan, fewer pentanomials are
     # walked than pass the sieve, and the answer is among those walked
-    # (the sieve's own tables, if built here, walk lower degrees)
     passed, walked = [], []
     has_small_factor = modulus._has_small_factor
     walk = modulus._frobenius_walk
@@ -1013,12 +1010,9 @@ def test_scan_ends_after_the_last_pentanomial(monkeypatch):
     # with every degree-40 candidate rejected by the walk, the scan raises
     # once the pentanomials run out, and never walks a denser mask
     lam = 40
-    walk = modulus._frobenius_walk
     weights = set()
 
     def reject(f, n):
-        if n != lam:  # the sieve's own tables, if built here
-            return walk(f, n)
         assert f.bit_count() <= 5, hex(f)
         weights.add(f.bit_count())
         return n
@@ -1056,6 +1050,27 @@ def test_no_search_name_is_defined_in_the_kernel():
     defined.discard("__all__")
     assert {"scan", "is_irreducible", "_frobenius_walk"} <= defined
     assert not defined & set(vars(gf2)), defined & set(vars(gf2))
+
+
+def test_the_kernel_holds_no_counting_rule():
+    # gf2 computes and bench counts: each counting rule is defined in bench
+    # alone, gf2 imports nothing from bench, not even inside a function,
+    # and the two types that hold no rule stay in gf2
+    rules = {"_kara_cost", "clmul_cost", "reduce_cost"}
+    tree = ast.parse(pathlib.Path(gf2.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {node.module} | {a.name for a in node.names}
+            assert not names & ({"bench", "entroseal.bench"} | rules), \
+                ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all(a.name != "entroseal.bench" for a in node.names)
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"OpCount", "Backend"} <= defined
+    assert not rules & (defined | set(vars(gf2)))
+    assert rules <= set(vars(bench))
+    assert bench.OpCount is gf2.OpCount and bench.Backend is gf2.Backend
 
 
 # ---------------------------------------------------------------------------

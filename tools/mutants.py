@@ -1,0 +1,143 @@
+"""Run tier-1 against each committed mutant of the library.
+
+Each entry of MUTANTS names a file, a text that occurs in it exactly once,
+the text that replaces it, and why the change should be caught. For each
+entry the tracked files are copied to a temporary directory, the mutant
+is applied there, and tier-1 runs on the copy with ``-x`` under a time
+limit. Two tests are left out of that run: criterion 08, which fails on
+purpose (see the README), and ``tests/test_mutants.py``, which checks
+that each old text is still in place and so fails on every mutant. The
+repository itself is never written.
+
+Each entry prints one verdict: KILLED with the first failing test,
+KILLED on a timeout (a mutant that makes the suite hang is caught too),
+SURVIVED when every test passes, or EQUIVALENT, without a run, for an
+entry marked so, whose ``why`` says why no test can tell it apart.
+
+Usage: python tools/mutants.py
+Exits 1 if any mutant survived.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TIME_LIMIT_S = 600
+CRITERION_08 = "tests/test_acceptance.py::test_criterion_08_cost_factor_two"
+LIST_TEST = "tests/test_mutants.py"
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    why: str
+    equivalent: bool = False
+
+
+MUTANTS = [
+    Mutant("src/entroseal/cipher.py",
+           "_SNAP = 1e-9", "_SNAP = 1e-3",
+           "a looser snap rounds some key lengths down by one bit"),
+    Mutant("src/entroseal/cipher.py",
+           "if mode is Mode.CLASSICAL and ell > n:",
+           "if mode is Mode.CLASSICAL and ell > n + 1:",
+           "the classical floor would accept a key one bit longer than n"),
+    Mutant("src/entroseal/statlab.py",
+           "lhs <= bound, lhs, bound)", "lhs <= 2 * bound, lhs, bound)",
+           "the collision check would pass a pad twice over its bound"),
+    Mutant("src/entroseal/statlab.py",
+           "delta * delta <= eps_star_sq, delta * delta, eps_star_sq)",
+           "delta * delta <= 4 * eps_star_sq, delta * delta, eps_star_sq)",
+           "delta^2 <= eps*^2 / 2 for every distribution (Cauchy-Schwarz, "
+           "check_indistinguishability's docstring), so no input can fail "
+           "either bound", equivalent=True),
+    Mutant("src/entroseal/keyexpand.py",
+           "tail = lsb_truncate(product, params.tail_len) ^ v",
+           "tail = lsb_truncate(product, params.tail_len)",
+           "the affine expansion would drop its public offset v"),
+    Mutant("src/entroseal/bench.py",
+           "xors += (spec.weight - 1) * h", "xors += spec.weight * h",
+           "the reduction would be counted one XOR per bit too high"),
+    Mutant("src/entroseal/modulus.py",
+           "return 0 if b == x and _polygcd_int(f, prod) == 1 else lam",
+           "return 0 if b == x else lam",
+           "without Rabin's final gcd a product of distinct-degree factors "
+           "dividing lam passes as irreducible"),
+    Mutant("src/entroseal/modulus.py",
+           "            if _polygcd_int(f, prod) != 1:\n                return k",
+           "            if k < 48 and _polygcd_int(f, prod) != 1:\n"
+           "                return k",
+           "without the step-48 gcd a factor of degree 25..48 is missed "
+           "or found only at the end of the walk"),
+]
+
+
+def tracked_files() -> list[str]:
+    out = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout
+    return [name for name in out.split("\0") if name]
+
+
+def run_mutant(mutant: Mutant, files: list[str]) -> str:
+    """The verdict line for one mutant, after running tier-1 on a copy."""
+    if mutant.equivalent:
+        return f"EQUIVALENT {mutant.why}"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = pathlib.Path(tmp)
+        for name in files:
+            (copy / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, copy / name)
+        target = copy / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.file}: old text must occur once: "
+                             f"{mutant.old!r}")
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", "--continue-on-collection-errors",
+             "--deselect", CRITERION_08, "--ignore", LIST_TEST],
+            cwd=copy, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True, start_new_session=True)
+        start = time.monotonic()
+        try:
+            out, _ = proc.communicate(timeout=TIME_LIMIT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return f"KILLED     timeout after {TIME_LIMIT_S} s"
+        elapsed = time.monotonic() - start
+    if proc.returncode == 0:
+        return f"SURVIVED   ({elapsed:.0f} s)"
+    first = next((line.split()[1] for line in out.splitlines()
+                  if line.startswith(("FAILED ", "ERROR "))),
+                 f"pytest exit status {proc.returncode}")
+    return f"KILLED     {first} ({elapsed:.0f} s)"
+
+
+def main() -> int:
+    files = tracked_files()
+    survived = 0
+    for i, mutant in enumerate(MUTANTS, 1):
+        print(f"{i:2d} {mutant.file}: {mutant.old.strip()!r} -> "
+              f"{mutant.new.strip()!r}", flush=True)
+        verdict = run_mutant(mutant, files)
+        survived += verdict.startswith("SURVIVED")
+        print(f"   {verdict}", flush=True)
+    print(f"{survived} of {len(MUTANTS)} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
