@@ -19,8 +19,12 @@ exponent are both even); and it walks the Frobenius map once,
 reject factors of degree up to 48 early (from degree 240 up). The first
 three only skip reducible candidates, so the modulus is Rabin's verdict
 alone, and :func:`is_irreducible` takes the same walk. Only the standard
-library is used: the sieve's tables, found by Eratosthenes' sieve over
-GF(2)[x], are 16-bit ``array`` views.
+library is used. The sieve holds a candidate's remainders mod all 225
+irreducibles of degree <= 10, found by Eratosthenes' sieve over GF(2)[x],
+as one int with a 16-bit slot each: a few whole-int operations step
+every remainder from x^e to x^(e+1) or tell whether any is 0, and only
+x^lam is read from per-irreducible tables of x^e mod g (16-bit ``array``
+views).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .gf2 import (BitPoly, _comb_int, _exponents_desc, _fold_exponents, _poly,
@@ -67,43 +72,19 @@ def _swan_reducible(n: int, k: int) -> bool:
 # fresh process, tables included, took 220, 205, 230 and 303 ms at depths
 # 9, 10, 11 and 12 (medians of seven interleaved runs; the tables alone
 # took 2, 6, 22 and 70 ms), and 193 against 198 ms at 9 and 10 in eight
-# more.
+# more. Those runs read every table for every candidate; the packed sieve
+# reads them once per degree, and its ints widen with the table count.
 _SIEVE_DEGREE = 10
 
 
-def _has_small_factor(exps: tuple[int, ...],
-                      sieve: list[tuple[int, memoryview, int]]) -> bool:
-    """Whether an irreducible of degree <= _SIEVE_DEGREE divides
-    x^lam + sum(x^e for e in exps), where exps ends in 0.
-
-    For each small irreducible g, the powers x^e mod g cycle with period
-    ord(x) dividing 2^deg(g) - 1, so the residue of a sparse candidate mod
-    g is a few table lookups and XORs; a zero residue means g divides it.
-    ``sieve`` holds (period, x^e mod g for e < period, x^lam + 1 mod g)
-    per g: the tables of :func:`_sieve_cycles` and the scan's per-lam base.
-    """
-    mid = exps[:-1]
-    for period, cyc, r in sieve:
-        for e in mid:
-            r ^= cyc[e % period]
-        if r == 0:
-            return True
-    return False
-
-
 @lru_cache(maxsize=1)
-def _sieve_cycles() -> tuple[tuple[int, memoryview], ...]:
-    """(period, x^e mod g for e < period) per sieve irreducible g.
+def _sieve_moduli() -> tuple[int, ...]:
+    """The irreducibles of degree 1 .. _SIEVE_DEGREE except x, ascending.
 
-    The g are the irreducibles of degree 1 .. _SIEVE_DEGREE except x, in
-    ascending order, found by Eratosthenes' sieve over GF(2)[x]: an odd g
-    that no smaller one has marked is irreducible, and marks each odd
-    multiple g*q up to degree _SIEVE_DEGREE. The q run in Gray-code order,
-    so each product is the last one XOR one shifted g. Each table is one
-    walk x^e -> x^(e+1) mod g, through a table of x*r mod g for every r,
-    until it returns to 1, so its length is the order of x mod g.
-    Independent of lam, so built once per process and shared as read-only
-    views of 16-bit arrays (225 tables, 105,309 entries).
+    Eratosthenes' sieve over GF(2)[x]: an odd g that no smaller one has
+    marked is irreducible, and marks each odd multiple g*q up to degree
+    _SIEVE_DEGREE. The q run in Gray-code order, so each product is the
+    last one XOR one shifted g.
     """
     top = 1 << (_SIEVE_DEGREE + 1)
     composite = bytearray(top)
@@ -111,13 +92,30 @@ def _sieve_cycles() -> tuple[tuple[int, memoryview], ...]:
     for g in range(3, top, 2):
         if composite[g]:
             continue
-        d = g.bit_length() - 1
+        out.append(g)
         # the odd q of degree <= _SIEVE_DEGREE - d from q = 1: step j
         # flips bit 1 + (the trailing zeros of j) of q
         prod = g
-        for j in range(1, top >> (d + 1)):
+        for j in range(1, top >> g.bit_length()):
             prod ^= g << (j & -j).bit_length()
             composite[prod] = 1
+    return tuple(out)
+
+
+@lru_cache(maxsize=1)
+def _sieve_cycles() -> tuple[tuple[int, memoryview], ...]:
+    """(period, x^e mod g for e < period) per sieve irreducible g, in the
+    order of :func:`_sieve_moduli`.
+
+    Each table is one walk x^e -> x^(e+1) mod g, through a table of
+    x*r mod g for every r, until it returns to 1, so its length is the
+    order of x mod g. Independent of lam, so built once per process and
+    shared as read-only views of 16-bit arrays (225 tables, 105,309
+    entries).
+    """
+    out = []
+    for g in _sieve_moduli():
+        d = g.bit_length() - 1
         # x*r mod g for every r of degree < d: 2r, minus g from x^(d-1) up
         step = [*range(0, 1 << d, 2),
                 *(r ^ g for r in range(1 << d, 2 << d, 2))]
@@ -127,6 +125,104 @@ def _sieve_cycles() -> tuple[tuple[int, memoryview], ...]:
             r = step[r]
         out.append((len(walk), memoryview(array("H", walk)).toreadonly()))
     return tuple(out)
+
+
+def _pack(slots: list[int]) -> int:
+    """One int holding each value in a 16-bit slot, the first lowest."""
+    return int.from_bytes(array("H", slots).tobytes(), "little")
+
+
+class _Packing(NamedTuple):
+    """The slot layout shared by every degree's :class:`_Sieve`: one
+    16-bit slot per sieve irreducible g, in the order of
+    :func:`_sieve_moduli`, holding a residue r mod g as
+    r << (_SIEVE_DEGREE - deg g), so x^(deg g) lands on bit _SIEVE_DEGREE
+    of every slot."""
+    shifts: tuple[int, ...]  # _SIEVE_DEGREE - deg g, per slot
+    moduli: int  # each g, shifted as a residue
+    ones: int  # 1 in every slot
+
+
+@lru_cache(maxsize=1)
+def _packing() -> _Packing:
+    moduli = _sieve_moduli()
+    shifts = tuple(_SIEVE_DEGREE + 1 - g.bit_length() for g in moduli)
+    return _Packing(shifts, _pack([g << s for g, s in zip(moduli, shifts)]),
+                    _pack([1] * len(moduli)))
+
+
+def _times_x(r: int, packing: _Packing) -> int:
+    """x*r mod g in every slot: one shift moves each residue up, and g
+    is subtracted from the slots that reached x^(deg g), where bit
+    _SIEVE_DEGREE is set. An aligned residue stays below bit
+    _SIEVE_DEGREE + 1, so nothing crosses into the next slot."""
+    r <<= 1
+    return r ^ ((r >> _SIEVE_DEGREE) & packing.ones) * 0xFFFF & packing.moduli
+
+
+def _powers_of_x(e: int, packing: _Packing) -> int:
+    """x^e mod g in every slot, read from :func:`_sieve_cycles`."""
+    return _pack([cyc[e % period] << s for (period, cyc), s
+                  in zip(_sieve_cycles(), packing.shifts)])
+
+
+class _Sieve:
+    """The small-factor sieve at one degree lam: x^lam + 1 mod every
+    sieve irreducible g, and x^e mod g for the exponents seen so far, each
+    packed into one int by :class:`_Packing`.
+
+    Trinomials need x^m for ascending m, pentanomials x^e for e up to
+    their first exponent; both come from multiply-by-x steps on the last
+    one. Only x^0 and x^lam are read from the 225 tables.
+    """
+    __slots__ = ("packing", "base", "powers", "m", "x_m")
+
+    def __init__(self, lam: int) -> None:
+        self.packing = packing = _packing()
+        one = _powers_of_x(0, packing)
+        self.base = _powers_of_x(lam, packing) ^ one
+        self.powers = [one]  # x^e for e < len(powers)
+        self.m, self.x_m = 0, one  # the last trinomial's x^m
+
+    def trinomial(self, m: int) -> int:
+        """x^m, stepped on from the last trinomial's x^m: the scan's m
+        ascend (any lower m starts again from x^0)."""
+        if m < self.m:
+            self.m, self.x_m = 0, self.powers[0]
+        x_m, packing = self.x_m, self.packing
+        for _ in range(m - self.m):
+            x_m = _times_x(x_m, packing)
+        self.m, self.x_m = m, x_m
+        return x_m
+
+    def up_to(self, e: int) -> list[int]:
+        """x^0 .. x^e at least, stepping the list on as far as e."""
+        powers = self.powers
+        while len(powers) <= e:
+            powers.append(_times_x(powers[-1], self.packing))
+        return powers
+
+
+def _has_small_factor(exps: tuple[int, ...], sieve: _Sieve) -> bool:
+    """Whether an irreducible of degree <= _SIEVE_DEGREE divides
+    x^lam + sum(x^e for e in exps), where exps ends in 0.
+
+    The candidate's residues mod all 225 g are the XOR of its packed
+    terms, and some g divides it exactly when some slot is 0: with
+    ``high`` bit 15 of every slot, (r | high) - ones keeps bit 15 of each
+    nonzero slot and clears it in each zero one, and no borrow crosses a
+    slot (the zero-byte test of "Bit Twiddling Hacks", on 16-bit slots).
+    """
+    if len(exps) == 2:
+        r = sieve.base ^ sieve.trinomial(exps[0])
+    else:
+        powers = sieve.up_to(exps[0])
+        r = sieve.base
+        for e in exps[:-1]:
+            r ^= powers[e]
+    ones = sieve.packing.ones
+    high = ones << 15
+    return (r | high) - ones & high != high
 
 
 def _stickelberger_reducible(n: int, a: int, b: int, c: int) -> bool | None:
@@ -150,8 +246,10 @@ def _stickelberger_reducible(n: int, a: int, b: int, c: int) -> bool | None:
     The det is that of multiplication by F mod g on (Z/8)[x]/(g), with
     x^n (or x^(n-a)) mod g by one square-and-multiply and the other terms
     by short shifts, eliminated mod 8 on odd pivots; no odd pivot means an
-    even det. Polynomials over Z/8 are Python ints with one slot per
-    coefficient, wide enough that a product's sums never carry out of it.
+    even det. Each remainder is taken by folding the terms at or above
+    x^a back through the three lower terms that x^a equals mod g.
+    Polynomials over Z/8 are Python ints with one slot per coefficient,
+    wide enough that a product's sums never carry out of it.
     """
     direct = (n - a) % 2 == 1
     if direct:
@@ -164,24 +262,20 @@ def _stickelberger_reducible(n: int, a: int, b: int, c: int) -> bool | None:
     step = slot // 8
     sevens = int.from_bytes(b"\x07".ljust(step, b"\0") * (2 * a), "little")
     low = (1 << (slot * a)) - 1
-    # table[j] = x^(a+j) mod g up to x^(2a-2), the top of a product of two
-    # remainders: x^a = -lc^-1 (G - lc x^a), and lc^-1 = lc mod 8 (lc odd)
-    top = sum((-lc * t % 8) << (slot * e) for e, t in tail)
-    table = [top]
-    for _ in range(a - 2):
-        r = table[-1] << slot
-        table.append(((r & low) + (r >> (slot * a)) * top) & sevens)
+    # x^a = -lc^-1 (G - lc x^a), and lc^-1 = lc mod 8 (lc odd): three
+    # lower terms, through which reduce folds the top of a product until
+    # none is left, as _square_mod folds a pentanomial
+    (s1, t1), (s2, t2), (s3, t3) = [(slot * e, -lc * t % 8) for e, t in tail]
+    top = (t1 << s1) + (t2 << s2) + (t3 << s3)
+    high = slot * a
 
     def reduce(p: int) -> int:
         p &= sevens
-        hi = p >> (slot * a)
-        if hi:
-            p &= low
-            for t, r in zip(hi.to_bytes(step * (a - 1), "little")[::step],
-                            table):
-                if t:
-                    p += t * r
-            p &= sevens
+        hi = p >> high
+        while hi:
+            p = ((p & low) + t1 * (hi << s1) + t2 * (hi << s2)
+                 + t3 * (hi << s3)) & sevens
+            hi = p >> high
         return p
 
     def power(e: int) -> int:  # x^e mod g
@@ -351,7 +445,12 @@ def scan(lam: int) -> tuple[int, ...]:
        degrees, nearly all at degrees 3 or 5 mod 8 and every one when 8
        divides lam);
     2. the small-factor sieve (:func:`_has_small_factor`: no factor of
-       degree <= 10);
+       degree <= 10), a few whole-int operations on the candidate's
+       remainders mod all 225 irreducibles g of degree <= 10, packed by
+       :class:`_Sieve` into one int: x^lam + 1 is read from the tables
+       once per degree, and each x^e mod g is one multiply-by-x step
+       (:func:`_times_x`) from x^(e-1), the trinomials' ascending m from
+       the last one;
     3. for a pentanomial x^lam + x^a + ..., the parity test
        (:func:`_stickelberger_reducible`: Stickelberger's theorem, which
        underlies Swan's rule, read from the discriminant mod 8 through a
@@ -374,9 +473,7 @@ def scan(lam: int) -> tuple[int, ...]:
         return (0,)
     # At lam <= _SIEVE_DEGREE the sieve's tables would contain the
     # candidate itself, so the same scan runs without it.
-    sieve = ([(period, cyc, cyc[lam % period] ^ 1)
-              for period, cyc in _sieve_cycles()]
-             if lam > _SIEVE_DEGREE else [])
+    sieve = _Sieve(lam) if lam > _SIEVE_DEGREE else None
     trinomials = ((m, 0) for m in range(1, lam // 2 + 1)
                   if not _swan_reducible(lam, m))
     pentanomials = ((a, b, c, 0)
@@ -384,7 +481,7 @@ def scan(lam: int) -> tuple[int, ...]:
                     for b in range(2, a)
                     for c in range(1, b))
     for exps in itertools.chain(trinomials, pentanomials):
-        if _has_small_factor(exps, sieve):
+        if sieve is not None and _has_small_factor(exps, sieve):
             continue
         if len(exps) == 4 and _stickelberger_reducible(lam, *exps[:3]):
             continue

@@ -3,6 +3,8 @@ references, reduction against long division, and the modulus scan against
 an exhaustive low-weight search."""
 
 import ast
+import functools
+import operator
 import pathlib
 import random
 
@@ -598,44 +600,84 @@ def test_modulus_table_entry_is_the_first_in_scan_order(lam):
     assert gf2._MODULUS_TABLE[lam] == modulus.scan(lam)
 
 
-def _sieve(lam):
-    """The scan's sieve at lam: each shared cycle table, with its base
-    x^lam + 1 mod g."""
-    return [(period, cyc, cyc[lam % period] ^ 1)
-            for period, cyc in modulus._sieve_cycles()]
-
-
 def _has_small_factor(f, lam):
     return modulus._has_small_factor(gf2._exponents_desc(f ^ (1 << lam)),
-                                 _sieve(lam))
+                                     modulus._Sieve(lam))
+
+
+def _remainders_by_division(lam, moduli):
+    """x^e mod g for e <= lam, per g, each one polydivmod of the last
+    times x: the scalar walk that the packed sieve does for all g at
+    once."""
+    out = []
+    for g in moduli:
+        rems = [1]
+        for _ in range(lam):
+            rems.append(polydivmod(rems[-1] << 1, g)[1])
+        out.append(rems)
+    return out
+
+
+def _unpack(r):
+    """The 16-bit slots of a packed int, lowest first."""
+    n = len(modulus._sieve_moduli())
+    return list(memoryview(r.to_bytes(2 * n, "little")).cast("H"))
 
 
 def test_small_factor_sieve_matches_trial_division():
-    # one process, two lambdas: the lam-independent cycle tables are built
-    # once and shared, and each sieve must still answer for its own lam
+    # one process, four lambdas: the lam-independent tables are built once
+    # and shared, and each sieve must still answer for its own lam. Every
+    # trinomial of the scan's range (each stepped on from the last, and
+    # after the pentanomials again from x^0) and every pentanomial with
+    # a <= 24, against division by each of the 225 irreducibles: f mod g
+    # is the XOR of its terms' remainders, as division is linear
     depth = modulus._SIEVE_DEGREE
     small = [g for g in range(3, 1 << (depth + 1), 2)
              if irreducible_by_trial_division(g)]
     # one table for every irreducible of degree <= depth but x
+    assert list(modulus._sieve_moduli()) == small
     assert len(modulus._sieve_cycles()) == len(small)
     rng = random.Random(0x51E7E)
-    for lam in (61, 130):
-        candidates = []
-        for _ in range(25):
-            f = (1 << lam) | 1
-            for e in rng.sample(range(1, lam), rng.choice((1, 3))):
-                f |= 1 << e
-            candidates.append(f)
+    for lam in (61, 130, 411, 1083):
+        rems = _remainders_by_division(lam, small)
+        sieve = modulus._Sieve(lam)
+        trinomials = [(m, 0) for m in range(1, lam // 2 + 1)]
+        pentanomials = [(a, b, c, 0) for a in range(3, 25)
+                        for b in range(2, a) for c in range(1, b)]
+        seen = set()
+        for exps in trinomials + pentanomials + trinomials[::7]:
+            want = any(
+                functools.reduce(operator.xor, (r[e] for e in exps), r[lam])
+                == 0 for r in rems)
+            assert modulus._has_small_factor(exps, sieve) == want, \
+                (lam, exps)
+            seen.add(want)
+        assert seen == {True, False}
         # products whose only small factor has the sieve's top degree
         h = find_irreducible(lam - depth).modulus.value
         top = [g for g in small if g.bit_length() == depth + 1]
-        candidates += [clmul_shift_xor(g, h) for g in rng.sample(top, 3)]
-        seen = set()
-        for f in candidates:
-            want = any(polydivmod(f, g)[1] == 0 for g in small)
-            assert _has_small_factor(f, lam) == want, (lam, hex(f))
-            seen.add(want)
-        assert seen == {True, False}
+        for g in rng.sample(top, 3):
+            f = clmul_shift_xor(g, h)
+            assert [polydivmod(f, q)[1] == 0 for q in small].count(True) == 1
+            assert _has_small_factor(f, lam), (lam, hex(f))
+
+
+def test_packed_step_matches_the_sieve_tables():
+    # x^e mod g in every slot for e < 2046, two full periods of every g,
+    # each stepped from x^(e-1), against the tables' entries, shifted so
+    # that x^(deg g) would land on bit _SIEVE_DEGREE of the slot
+    packing = modulus._packing()
+    cycles = modulus._sieve_cycles()
+    shifts = [modulus._SIEVE_DEGREE + 1 - g.bit_length()
+              for g in modulus._sieve_moduli()]
+    assert list(packing.shifts) == shifts
+    r = modulus._powers_of_x(0, packing)
+    for e in range(2046):
+        want = [cyc[e % period] << s
+                for (period, cyc), s in zip(cycles, shifts)]
+        assert _unpack(r) == want, e
+        r = modulus._times_x(r, packing)
+    assert r == modulus._powers_of_x(2046, packing)
 
 
 def test_sieve_tables_match_a_plain_walk():

@@ -20,3 +20,27 @@ def test_old_text_occurs_exactly_once(mutant):
     text = (_ROOT / mutant.file).read_text()
     assert text.count(mutant.old) == 1, (mutant.file, mutant.old)
     assert mutant.new != mutant.old and mutant.why
+
+
+def test_selection_by_file_or_old_text():
+    # selecting runs nothing: it only picks entries, numbered as in the list
+    everything = mutants.select([])
+    count = len(mutants.MUTANTS)
+    assert [i for i, _ in everything] == list(range(1, count + 1))
+    by_file = mutants.select(["modulus.py"])
+    assert by_file and all(m.file.endswith("modulus.py") for _, m in by_file)
+    assert len(by_file) == sum(m.file.endswith("modulus.py")
+                               for m in mutants.MUTANTS)
+    by_text = mutants.select(["_SNAP"])
+    assert [(i, m.old) for i, m in by_text] == [(1, "_SNAP = 1e-9")]
+    both = mutants.select(["_SNAP", "bench.py"])
+    assert [i for i, _ in both] == [1, 6]
+    assert mutants.select(["no such text"]) == []
+
+
+def test_no_match_exits_2_without_a_run(monkeypatch, capsys):
+    def no_copy():
+        raise AssertionError("a mutant run started")
+    monkeypatch.setattr(mutants, "tracked_files", no_copy)
+    assert mutants.main(["no such text"]) == 2
+    assert "no mutant matches" in capsys.readouterr().out

@@ -14,8 +14,12 @@ KILLED on a timeout (a mutant that makes the suite hang is caught too),
 SURVIVED when every test passes, or EQUIVALENT, without a run, for an
 entry marked so, whose ``why`` says why no test can tell it apart.
 
-Usage: python tools/mutants.py
-Exits 1 if any mutant survived.
+Usage: python tools/mutants.py [TEXT ...]
+With no TEXT every entry runs; otherwise only the entries whose file or
+old text contains one of the TEXTs, for example
+``python tools/mutants.py modulus.py`` for the modulus search's own.
+Each entry keeps its number in the list. Exits 1 if any mutant survived,
+2 if no entry matches.
 """
 
 from __future__ import annotations
@@ -79,6 +83,30 @@ MUTANTS = [
            "                return k",
            "without the step-48 gcd a factor of degree 25..48 is missed "
            "or found only at the end of the walk"),
+    Mutant("src/entroseal/modulus.py",
+           "(r | high) - ones & high != high",
+           "(r | high) - 2 * ones & high != high",
+           "subtracting 2 per slot would read a remainder of 1 as 0, so the "
+           "sieve would drop candidates, irreducible ones too"),
+    Mutant("src/entroseal/modulus.py",
+           "self.base = _powers_of_x(lam, packing) ^ one",
+           "self.base = _powers_of_x(lam, packing)",
+           "without its x^0 term the base would sieve x^lam + x^m rather "
+           "than x^lam + x^m + 1"),
+    Mutant("src/entroseal/modulus.py",
+           "return r ^ ((r >> _SIEVE_DEGREE) & packing.ones)",
+           "return r ^ ((r >> (_SIEVE_DEGREE - 1)) & packing.ones)",
+           "reading the overflow one bit low, the multiply-by-x step would "
+           "subtract g from the wrong slots"),
+    Mutant("src/entroseal/modulus.py",
+           "if m < self.m:", "if m < 0:",
+           "a trinomial below the last one would be stepped from the last "
+           "one's x^m, not from x^0, and get a wrong remainder"),
+    Mutant("src/entroseal/modulus.py",
+           "(slot * e, -lc * t % 8) for e, t in tail]",
+           "(slot * e, lc * t % 8) for e, t in tail]",
+           "with the sign of the fold's coefficients flipped, the parity "
+           "test would reduce mod the wrong polynomial"),
 ]
 
 
@@ -126,18 +154,30 @@ def run_mutant(mutant: Mutant, files: list[str]) -> str:
     return f"KILLED     {first} ({elapsed:.0f} s)"
 
 
-def main() -> int:
+def select(texts: list[str]) -> list[tuple[int, Mutant]]:
+    """(number, entry) for each entry whose file or old text contains one
+    of ``texts``, every entry when there is none; numbered from 1."""
+    return [(i, mutant) for i, mutant in enumerate(MUTANTS, 1)
+            if not texts
+            or any(t in mutant.file or t in mutant.old for t in texts)]
+
+
+def main(texts: list[str]) -> int:
+    chosen = select(texts)
+    if not chosen:
+        print(f"no mutant matches {texts!r}")
+        return 2
     files = tracked_files()
     survived = 0
-    for i, mutant in enumerate(MUTANTS, 1):
+    for i, mutant in chosen:
         print(f"{i:2d} {mutant.file}: {mutant.old.strip()!r} -> "
               f"{mutant.new.strip()!r}", flush=True)
         verdict = run_mutant(mutant, files)
         survived += verdict.startswith("SURVIVED")
         print(f"   {verdict}", flush=True)
-    print(f"{survived} of {len(MUTANTS)} survived")
+    print(f"{survived} of {len(chosen)} survived")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
