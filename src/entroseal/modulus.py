@@ -21,10 +21,11 @@ three only skip reducible candidates, so the modulus is Rabin's verdict
 alone, and :func:`is_irreducible` takes the same walk. Only the standard
 library is used. The sieve holds a candidate's remainders mod all 225
 irreducibles of degree <= 10, found by Eratosthenes' sieve over GF(2)[x],
-as one int with a 16-bit slot each: a few whole-int operations step
-every remainder from x^e to x^(e+1) or tell whether any is 0, and only
-x^lam is read from per-irreducible tables of x^e mod g (16-bit ``array``
-views).
+as one int with a 16-bit slot each, and a few whole-int operations tell
+whether any is 0. Every term's remainders come from one table of x^e for
+e < 2^10 - 1, built once per process: x^(2^d - 1) = 1 mod each such g of
+degree d (Fermat's little theorem in GF(2^d)), so a larger e reads entry
+e mod (2^d - 1) for the slots of degree d.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def _swan_reducible(n: int, k: int) -> bool:
 # 9, 10, 11 and 12 (medians of seven interleaved runs; the tables alone
 # took 2, 6, 22 and 70 ms), and 193 against 198 ms at 9 and 10 in eight
 # more. Those runs read every table for every candidate; the packed sieve
-# reads them once per degree, and its ints widen with the table count.
+# reads one table of 2^depth - 1 ints instead, which doubles in length
+# and widens with each degree more.
 _SIEVE_DEGREE = 10
 
 
@@ -102,53 +104,32 @@ def _sieve_moduli() -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=1)
-def _sieve_cycles() -> tuple[tuple[int, memoryview], ...]:
-    """(period, x^e mod g for e < period) per sieve irreducible g, in the
-    order of :func:`_sieve_moduli`.
-
-    Each table is one walk x^e -> x^(e+1) mod g, through a table of
-    x*r mod g for every r, until it returns to 1, so its length is the
-    order of x mod g. Independent of lam, so built once per process and
-    shared as read-only views of 16-bit arrays (225 tables, 105,309
-    entries).
-    """
-    out = []
-    for g in _sieve_moduli():
-        d = g.bit_length() - 1
-        # x*r mod g for every r of degree < d: 2r, minus g from x^(d-1) up
-        step = [*range(0, 1 << d, 2),
-                *(r ^ g for r in range(1 << d, 2 << d, 2))]
-        walk, r = [1], step[1]
-        while r != 1:
-            walk.append(r)
-            r = step[r]
-        out.append((len(walk), memoryview(array("H", walk)).toreadonly()))
-    return tuple(out)
-
-
 def _pack(slots: list[int]) -> int:
     """One int holding each value in a 16-bit slot, the first lowest."""
     return int.from_bytes(array("H", slots).tobytes(), "little")
 
 
 class _Packing(NamedTuple):
-    """The slot layout shared by every degree's :class:`_Sieve`: one
-    16-bit slot per sieve irreducible g, in the order of
-    :func:`_sieve_moduli`, holding a residue r mod g as
+    """The sieve's slot layout: one 16-bit slot per sieve irreducible g,
+    in the order of :func:`_sieve_moduli`, holding a residue r mod g as
     r << (_SIEVE_DEGREE - deg g), so x^(deg g) lands on bit _SIEVE_DEGREE
     of every slot."""
     shifts: tuple[int, ...]  # _SIEVE_DEGREE - deg g, per slot
     moduli: int  # each g, shifted as a residue
     ones: int  # 1 in every slot
+    # (2^d - 1, 0xFFFF in each slot of degree d) for d = 1 .. _SIEVE_DEGREE
+    periods: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=1)
 def _packing() -> _Packing:
     moduli = _sieve_moduli()
     shifts = tuple(_SIEVE_DEGREE + 1 - g.bit_length() for g in moduli)
+    periods = tuple(((1 << d) - 1, _pack([0xFFFF * (g.bit_length() == d + 1)
+                                          for g in moduli]))
+                    for d in range(1, _SIEVE_DEGREE + 1))
     return _Packing(shifts, _pack([g << s for g, s in zip(moduli, shifts)]),
-                    _pack([1] * len(moduli)))
+                    _pack([1] * len(moduli)), periods)
 
 
 def _times_x(r: int, packing: _Packing) -> int:
@@ -160,67 +141,53 @@ def _times_x(r: int, packing: _Packing) -> int:
     return r ^ ((r >> _SIEVE_DEGREE) & packing.ones) * 0xFFFF & packing.moduli
 
 
-def _powers_of_x(e: int, packing: _Packing) -> int:
-    """x^e mod g in every slot, read from :func:`_sieve_cycles`."""
-    return _pack([cyc[e % period] << s for (period, cyc), s
-                  in zip(_sieve_cycles(), packing.shifts)])
+@lru_cache(maxsize=1)
+def _power_table() -> tuple[int, ...]:
+    """x^e mod g in every slot, packed by :func:`_packing`, for
+    e = 0 .. 2^_SIEVE_DEGREE - 2: one multiply-by-x step each from x^0.
+    Independent of lam, so built once per process (1,023 ints)."""
+    packing = _packing()
+    powers = [_pack([1 << s for s in packing.shifts])]
+    for _ in range((1 << _SIEVE_DEGREE) - 2):
+        powers.append(_times_x(powers[-1], packing))
+    return tuple(powers)
 
 
-class _Sieve:
-    """The small-factor sieve at one degree lam: x^lam + 1 mod every
-    sieve irreducible g, and x^e mod g for the exponents seen so far, each
-    packed into one int by :class:`_Packing`.
+def _power(e: int) -> int:
+    """x^e mod g in every slot, read from :func:`_power_table`.
 
-    Trinomials need x^m for ascending m, pentanomials x^e for e up to
-    their first exponent; both come from multiply-by-x steps on the last
-    one. Only x^0 and x^lam are read from the 225 tables.
+    x^(2^d - 1) = 1 mod every irreducible g of degree d but x (the
+    multiplicative group of GF(2^d) has 2^d - 1 elements), so x^e mod g
+    is x^(e mod (2^d - 1)) mod g: a larger e merges, degree by degree,
+    the slots of g of degree d from the table's entry at e mod (2^d - 1).
     """
-    __slots__ = ("packing", "base", "powers", "m", "x_m")
-
-    def __init__(self, lam: int) -> None:
-        self.packing = packing = _packing()
-        one = _powers_of_x(0, packing)
-        self.base = _powers_of_x(lam, packing) ^ one
-        self.powers = [one]  # x^e for e < len(powers)
-        self.m, self.x_m = 0, one  # the last trinomial's x^m
-
-    def trinomial(self, m: int) -> int:
-        """x^m, stepped on from the last trinomial's x^m: the scan's m
-        ascend (any lower m starts again from x^0)."""
-        if m < self.m:
-            self.m, self.x_m = 0, self.powers[0]
-        x_m, packing = self.x_m, self.packing
-        for _ in range(m - self.m):
-            x_m = _times_x(x_m, packing)
-        self.m, self.x_m = m, x_m
-        return x_m
-
-    def up_to(self, e: int) -> list[int]:
-        """x^0 .. x^e at least, stepping the list on as far as e."""
-        powers = self.powers
-        while len(powers) <= e:
-            powers.append(_times_x(powers[-1], self.packing))
-        return powers
+    powers = _power_table()
+    if e < len(powers):
+        return powers[e]
+    r = 0
+    for period, slots in _packing().periods:
+        r |= powers[e % period] & slots
+    return r
 
 
-def _has_small_factor(exps: tuple[int, ...], sieve: _Sieve) -> bool:
+def _has_small_factor(exps: tuple[int, ...], base: int) -> bool:
     """Whether an irreducible of degree <= _SIEVE_DEGREE divides
-    x^lam + sum(x^e for e in exps), where exps ends in 0.
+    x^lam + sum(x^e for e in exps), where exps ends in 0 and base is
+    :func:`_power` at lam.
 
     The candidate's residues mod all 225 g are the XOR of its packed
-    terms, and some g divides it exactly when some slot is 0: with
-    ``high`` bit 15 of every slot, (r | high) - ones keeps bit 15 of each
-    nonzero slot and clears it in each zero one, and no borrow crosses a
-    slot (the zero-byte test of "Bit Twiddling Hacks", on 16-bit slots).
+    terms, each read from one table (:func:`_power`, by the Fermat
+    identity x^(2^d - 1) = 1 mod g), and some g divides it exactly when
+    some slot is 0: with ``high`` bit 15 of every slot, (r | high) - ones
+    keeps bit 15 of each nonzero slot and clears it in each zero one, and
+    no borrow crosses a slot (the zero-byte test of "Bit Twiddling
+    Hacks", on 16-bit slots).
     """
-    if len(exps) == 2:
-        r = sieve.base ^ sieve.trinomial(exps[0])
-    else:
-        powers = sieve.up_to(exps[0])
-        r = sieve.base
-        for e in exps[:-1]:
-            r ^= powers[e]
-    ones = sieve.packing.ones
+    powers = _power_table()
+    r = base
+    for e in exps:
+        r ^= powers[e] if e < len(powers) else _power(e)
+    ones = _packing().ones
     high = ones << 15
     return (r | high) - ones & high != high
 
@@ -447,10 +414,10 @@ def scan(lam: int) -> tuple[int, ...]:
     2. the small-factor sieve (:func:`_has_small_factor`: no factor of
        degree <= 10), a few whole-int operations on the candidate's
        remainders mod all 225 irreducibles g of degree <= 10, packed by
-       :class:`_Sieve` into one int: x^lam + 1 is read from the tables
-       once per degree, and each x^e mod g is one multiply-by-x step
-       (:func:`_times_x`) from x^(e-1), the trinomials' ascending m from
-       the last one;
+       :class:`_Packing` into one int: every term x^e, x^lam once per
+       degree, is read from one table of x^e for e < 2^10 - 1
+       (:func:`_power`), which suffices because x^(2^d - 1) = 1 mod each
+       g of degree d;
     3. for a pentanomial x^lam + x^a + ..., the parity test
        (:func:`_stickelberger_reducible`: Stickelberger's theorem, which
        underlies Swan's rule, read from the discriminant mod 8 through a
@@ -471,9 +438,9 @@ def scan(lam: int) -> tuple[int, ...]:
     """
     if lam == 1:
         return (0,)
-    # At lam <= _SIEVE_DEGREE the sieve's tables would contain the
+    # At lam <= _SIEVE_DEGREE the sieve's moduli would include the
     # candidate itself, so the same scan runs without it.
-    sieve = _Sieve(lam) if lam > _SIEVE_DEGREE else None
+    base = _power(lam) if lam > _SIEVE_DEGREE else None
     trinomials = ((m, 0) for m in range(1, lam // 2 + 1)
                   if not _swan_reducible(lam, m))
     pentanomials = ((a, b, c, 0)
@@ -481,7 +448,7 @@ def scan(lam: int) -> tuple[int, ...]:
                     for b in range(2, a)
                     for c in range(1, b))
     for exps in itertools.chain(trinomials, pentanomials):
-        if sieve is not None and _has_small_factor(exps, sieve):
+        if base is not None and _has_small_factor(exps, base):
             continue
         if len(exps) == 4 and _stickelberger_reducible(lam, *exps[:3]):
             continue

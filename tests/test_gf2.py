@@ -602,12 +602,12 @@ def test_modulus_table_entry_is_the_first_in_scan_order(lam):
 
 def _has_small_factor(f, lam):
     return modulus._has_small_factor(gf2._exponents_desc(f ^ (1 << lam)),
-                                     modulus._Sieve(lam))
+                                     modulus._power(lam))
 
 
 def _remainders_by_division(lam, moduli):
     """x^e mod g for e <= lam, per g, each one polydivmod of the last
-    times x: the scalar walk that the packed sieve does for all g at
+    times x: the scalar walk that the packed table holds for all g at
     once."""
     out = []
     for g in moduli:
@@ -618,6 +618,16 @@ def _remainders_by_division(lam, moduli):
     return out
 
 
+def _x_power_by_division(e, g):
+    """x^e mod g by square-and-multiply, each step reduced by polydivmod."""
+    r = 1
+    for bit in bin(e)[2:]:
+        r = polydivmod(clmul_shift_xor(r, r), g)[1]
+        if bit == "1":
+            r = polydivmod(r << 1, g)[1]
+    return r
+
+
 def _unpack(r):
     """The 16-bit slots of a packed int, lowest first."""
     n = len(modulus._sieve_moduli())
@@ -625,31 +635,33 @@ def _unpack(r):
 
 
 def test_small_factor_sieve_matches_trial_division():
-    # one process, four lambdas: the lam-independent tables are built once
-    # and shared, and each sieve must still answer for its own lam. Every
-    # trinomial of the scan's range (each stepped on from the last, and
-    # after the pentanomials again from x^0) and every pentanomial with
-    # a <= 24, against division by each of the 225 irreducibles: f mod g
-    # is the XOR of its terms' remainders, as division is linear
+    # one process, five lambdas: the lam-independent table is built once
+    # and shared, and each base must still answer for its own lam. Every
+    # trinomial of the scan's range and every pentanomial with a <= 24,
+    # against division by each of the 225 irreducibles: f mod g is the
+    # XOR of its terms' remainders, as division is linear. x^lam is a
+    # merge of table entries from 1083 up, and at 2133 so is x^m for
+    # every trinomial with m >= 2^_SIEVE_DEGREE - 1 (its planted
+    # products' cofactor has the table degree 2123)
     depth = modulus._SIEVE_DEGREE
     small = [g for g in range(3, 1 << (depth + 1), 2)
              if irreducible_by_trial_division(g)]
-    # one table for every irreducible of degree <= depth but x
+    # one slot for every irreducible of degree <= depth but x
     assert list(modulus._sieve_moduli()) == small
-    assert len(modulus._sieve_cycles()) == len(small)
+    assert len(modulus._power_table()) == (1 << depth) - 1
     rng = random.Random(0x51E7E)
-    for lam in (61, 130, 411, 1083):
+    for lam in (61, 130, 411, 1083, 2133):
         rems = _remainders_by_division(lam, small)
-        sieve = modulus._Sieve(lam)
+        base = modulus._power(lam)
         trinomials = [(m, 0) for m in range(1, lam // 2 + 1)]
         pentanomials = [(a, b, c, 0) for a in range(3, 25)
                         for b in range(2, a) for c in range(1, b)]
         seen = set()
-        for exps in trinomials + pentanomials + trinomials[::7]:
+        for exps in trinomials + pentanomials:
             want = any(
                 functools.reduce(operator.xor, (r[e] for e in exps), r[lam])
                 == 0 for r in rems)
-            assert modulus._has_small_factor(exps, sieve) == want, \
+            assert modulus._has_small_factor(exps, base) == want, \
                 (lam, exps)
             seen.add(want)
         assert seen == {True, False}
@@ -663,41 +675,47 @@ def test_small_factor_sieve_matches_trial_division():
 
 
 def test_packed_step_matches_the_sieve_tables():
-    # x^e mod g in every slot for e < 2046, two full periods of every g,
-    # each stepped from x^(e-1), against the tables' entries, shifted so
-    # that x^(deg g) would land on bit _SIEVE_DEGREE of the slot
-    packing = modulus._packing()
-    cycles = modulus._sieve_cycles()
-    shifts = [modulus._SIEVE_DEGREE + 1 - g.bit_length()
-              for g in modulus._sieve_moduli()]
-    assert list(packing.shifts) == shifts
-    r = modulus._powers_of_x(0, packing)
+    # x^e mod g in every slot, shifted so that x^(deg g) would land on
+    # bit _SIEVE_DEGREE of the slot, against division: for e < 2046, two
+    # full periods of every g (the table, then merges of its entries),
+    # one polydivmod step from x^(e-1), and far out by square-and-multiply
+    moduli = modulus._sieve_moduli()
+    shifts = [modulus._SIEVE_DEGREE + 1 - g.bit_length() for g in moduli]
+    assert list(modulus._packing().shifts) == shifts
+    walks = _remainders_by_division(2045, moduli)
     for e in range(2046):
-        want = [cyc[e % period] << s
-                for (period, cyc), s in zip(cycles, shifts)]
-        assert _unpack(r) == want, e
-        r = modulus._times_x(r, packing)
-    assert r == modulus._powers_of_x(2046, packing)
+        want = [walk[e] << s for walk, s in zip(walks, shifts)]
+        assert _unpack(modulus._power(e)) == want, e
+    for e in (2047, 4171, 32843, 10**6 + 3):
+        want = [_x_power_by_division(e, g) << s
+                for g, s in zip(moduli, shifts)]
+        assert _unpack(modulus._power(e)) == want, e
 
 
 def test_sieve_tables_match_a_plain_walk():
-    # table by table, in order: for every odd g of degree <= depth that
+    # slot by slot, in order: for every odd g of degree d <= depth that
     # trial division finds irreducible, one walk of x^e mod g (shift, and
-    # subtract g on overflow) until it returns to 1
+    # subtract g on overflow) over the table's 2^depth - 1 entries, and
+    # x^(2^d - 1) = 1 mod g, the identity by which larger powers merge
     depth = modulus._SIEVE_DEGREE
-    want = []
+    table = [_unpack(r) for r in modulus._power_table()]
+    assert len(table) == (1 << depth) - 1
+    slot = 0
     for g in range(3, 1 << (depth + 1), 2):
         if not irreducible_by_trial_division(g):
             continue
+        d = g.bit_length() - 1
         walk, r = [], 1
-        while not walk or r != 1:
+        for _ in range(1 << depth):
             walk.append(r)
-            r = polydivmod(r << 1, g)[1]
-        want.append((len(walk), walk))
-    got = [(period, list(cyc)) for period, cyc in modulus._sieve_cycles()]
-    assert len(got) == len(want) == 225
-    for (period, cyc), expected in zip(got, want):
-        assert (period, cyc) == expected, expected[1][:4]
+            r <<= 1
+            if r >> d:
+                r ^= g
+        assert walk[(1 << d) - 1] == 1, hex(g)
+        got = [row[slot] for row in table]
+        assert got == [w << (depth - d) for w in walk[:-1]], hex(g)
+        slot += 1
+    assert slot == 225
 
 
 def test_rabin_dense_fallback_agrees_with_trial_division():
@@ -812,9 +830,9 @@ def test_one_walk_decides_each_scan_candidate(monkeypatch, squares, lam):
     starts = []
     has_small_factor = modulus._has_small_factor
 
-    def start(exps, sieve):
+    def start(exps, base):
         starts.append((gf2._poly(lam, exps), squares[0]))
-        return has_small_factor(exps, sieve)
+        return has_small_factor(exps, base)
     monkeypatch.setattr(modulus, "_has_small_factor", start)
     answer = find_irreducible.__wrapped__(lam).modulus.value
     assert starts[-1][0] == answer
@@ -911,14 +929,6 @@ def test_square_matches_shift_and_xor(width):
             assert gf2._square_mod(v, 1, f, lam, rest) == want, (width, hex(v))
 
 
-def test_sieve_tables_are_read_only():
-    period, cyc = modulus._sieve_cycles()[0]
-    assert (period, list(cyc)) == (1, [1])  # x + 1: x = 1 mod x + 1
-    with pytest.raises(TypeError):
-        cyc[0] = 0
-    assert modulus._sieve_cycles()[0][1][0] == 1
-
-
 def test_no_trinomials_at_degrees_divisible_by_eight():
     # Swan's theorem: each such trinomial is a square or has an even
     # number of factors, so _swan_reducible drops all of them
@@ -988,7 +998,7 @@ def test_swan_rejected_trinomials_reach_no_later_test(monkeypatch, lam):
             seen.append(mask(*args))
             return test(*args)
         monkeypatch.setattr(modulus, name, wrapper)
-    record("_has_small_factor", lambda exps, sieve: gf2._poly(lam, exps))
+    record("_has_small_factor", lambda exps, base: gf2._poly(lam, exps))
     record("_frobenius_walk", lambda f, n: f)
     find_irreducible.__wrapped__(lam)
     base = (1 << lam) | 1
@@ -1030,8 +1040,8 @@ def test_parity_test_spares_walks_of_sieved_pentanomials(monkeypatch, lam):
     has_small_factor = modulus._has_small_factor
     walk = modulus._frobenius_walk
 
-    def sieve(exps, tables):
-        found = has_small_factor(exps, tables)
+    def sieve(exps, base):
+        found = has_small_factor(exps, base)
         if not found and len(exps) == 4:
             passed.append(gf2._poly(lam, exps))
         return found

@@ -44,3 +44,29 @@ def test_no_match_exits_2_without_a_run(monkeypatch, capsys):
     monkeypatch.setattr(mutants, "tracked_files", no_copy)
     assert mutants.main(["no such text"]) == 2
     assert "no mutant matches" in capsys.readouterr().out
+
+
+def test_a_verdict_names_the_first_failure_and_an_error_its_cause():
+    # canned pytest output: the parsing runs no pytest
+    collection = (
+        "E   entroseal.errors.PreconditionError: no irreducible trinomial\n"
+        "=========================== short test summary info ==="
+        "=========================\n"
+        "ERROR tests/test_gf2.py - entroseal.errors.PreconditionError: "
+        "no irreducible trinomial or pentanomial of degree 64\n"
+        "!!!!!!!!!!!!!!!!!!! stopping after 1 failures !!!!!!!!!!!!!!!!!!!\n"
+        "1 error in 2.31s\n")
+    assert mutants.killed_by(collection) == (
+        "tests/test_gf2.py - entroseal.errors.PreconditionError: "
+        "no irreducible trinomial or pentanomial of degree 64")
+    failed = (
+        "ERROR    a captured log line above the summary\n"
+        "=========================== short test summary info ==="
+        "=========================\n"
+        "FAILED tests/test_gf2.py::test_packed_step_matches_the_sieve_tables"
+        " - AssertionError: 2047\n"
+        "ERROR tests/test_cli.py::test_later - OSError\n"
+        "1 failed, 12 passed in 3.02s\n")
+    assert mutants.killed_by(failed) == \
+        "tests/test_gf2.py::test_packed_step_matches_the_sieve_tables"
+    assert mutants.killed_by("758 passed in 59.10s\n") is None

@@ -9,7 +9,8 @@ purpose (see the README), and ``tests/test_mutants.py``, which checks
 that each old text is still in place and so fails on every mutant. The
 repository itself is never written.
 
-Each entry prints one verdict: KILLED with the first failing test,
+Each entry prints one verdict: KILLED with the first failing test (for
+an error, such as a module that no longer collects, with its cause),
 KILLED on a timeout (a mutant that makes the suite hang is caught too),
 SURVIVED when every test passes, or EQUIVALENT, without a run, for an
 entry marked so, whose ``why`` says why no test can tell it apart.
@@ -89,9 +90,8 @@ MUTANTS = [
            "subtracting 2 per slot would read a remainder of 1 as 0, so the "
            "sieve would drop candidates, irreducible ones too"),
     Mutant("src/entroseal/modulus.py",
-           "self.base = _powers_of_x(lam, packing) ^ one",
-           "self.base = _powers_of_x(lam, packing)",
-           "without its x^0 term the base would sieve x^lam + x^m rather "
+           "for e in exps:", "for e in exps[:-1]:",
+           "without its x^0 term the sieve would test x^lam + x^m rather "
            "than x^lam + x^m + 1"),
     Mutant("src/entroseal/modulus.py",
            "return r ^ ((r >> _SIEVE_DEGREE) & packing.ones)",
@@ -99,14 +99,25 @@ MUTANTS = [
            "reading the overflow one bit low, the multiply-by-x step would "
            "subtract g from the wrong slots"),
     Mutant("src/entroseal/modulus.py",
-           "if m < self.m:", "if m < 0:",
-           "a trinomial below the last one would be stepped from the last "
-           "one's x^m, not from x^0, and get a wrong remainder"),
+           "for _ in range((1 << _SIEVE_DEGREE) - 2):",
+           "for _ in range((1 << _SIEVE_DEGREE) - 3):",
+           "the table would end at x^1021, one entry short of a period of "
+           "the degree-10 g, so reading x^1022 or merging it would fail"),
     Mutant("src/entroseal/modulus.py",
            "(slot * e, -lc * t % 8) for e, t in tail]",
            "(slot * e, lc * t % 8) for e, t in tail]",
            "with the sign of the fold's coefficients flipped, the parity "
            "test would reduce mod the wrong polynomial"),
+    Mutant("src/entroseal/modulus.py",
+           "e % period", "e % (period + 1)",
+           "a power past the table would read each degree's slots from the "
+           "wrong entry, as 2^d - 1 is the period that x^e mod g repeats "
+           "with"),
+    Mutant("src/entroseal/modulus.py",
+           "for d in range(1, _SIEVE_DEGREE + 1))",
+           "for d in range(1, _SIEVE_DEGREE))",
+           "without degree 10 a merged power would leave the slots of the "
+           "99 irreducibles of degree 10 at 0"),
 ]
 
 
@@ -131,7 +142,8 @@ def run_mutant(mutant: Mutant, files: list[str]) -> str:
             raise SystemExit(f"{mutant.file}: old text must occur once: "
                              f"{mutant.old!r}")
         target.write_text(text.replace(mutant.old, mutant.new))
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        # wide enough that pytest's summary keeps each cause whole
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), COLUMNS="400")
         proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
              "no:cacheprovider", "--continue-on-collection-errors",
@@ -148,10 +160,21 @@ def run_mutant(mutant: Mutant, files: list[str]) -> str:
         elapsed = time.monotonic() - start
     if proc.returncode == 0:
         return f"SURVIVED   ({elapsed:.0f} s)"
-    first = next((line.split()[1] for line in out.splitlines()
-                  if line.startswith(("FAILED ", "ERROR "))),
-                 f"pytest exit status {proc.returncode}")
+    first = killed_by(out) or f"pytest exit status {proc.returncode}"
     return f"KILLED     {first} ({elapsed:.0f} s)"
+
+
+def killed_by(out: str) -> str | None:
+    """The first entry of pytest's short test summary in ``out``: a
+    FAILED line's test id, or an ERROR line's id with its cause, since a
+    collection error names only the file it broke."""
+    summary = out.partition("short test summary info")[2]
+    for line in summary.splitlines():
+        if line.startswith("FAILED "):
+            return line.split()[1]
+        if line.startswith("ERROR "):
+            return line.removeprefix("ERROR ")
+    return None
 
 
 def select(texts: list[str]) -> list[tuple[int, Mutant]]:
