@@ -21,9 +21,9 @@ modulo f: :func:`reduce_mod` calls it, and so do every step and product
 of the Frobenius walk in :mod:`entroseal.modulus`. It folds a sparse f
 through its non-leading terms until the value fits and divides a dense
 one out; only ``bench.reduce_cost`` knows the fixed round structure of
-the counted network. Only the standard library is used: squares are
-spread a byte at a time through ``bytes.translate`` tables into one
-reused buffer.
+the counted network. Only the standard library is used: a square is the
+hex digits of its operand's bytes (``bytes.hex``), each mapped by one
+``bytes.translate`` table to its nibble spread over a byte.
 
 :func:`find_irreducible` picks each field's modulus on one path: a table
 of precomputed moduli or else the scan of :mod:`entroseal.modulus`,
@@ -369,12 +369,14 @@ def _poly(lam: int, exps: tuple[int, ...]) -> int:
     return (1 << lam) | sum(1 << e for e in exps)
 
 
-# Squaring a GF(2) polynomial just spaces its coefficients out: byte w of v
-# becomes two bytes, its low and its high nibble with a zero bit after
-# each bit.
-_SPREAD_LOW = bytes(sum(((w >> i) & 1) << (2 * i) for i in range(4))
-                    for w in range(256))
-_SPREAD_HIGH = bytes(_SPREAD_LOW[w >> 4] for w in range(256))
+# Squaring a GF(2) polynomial just spaces its coefficients out: each nibble
+# of v becomes one byte, its bits at 0, 2, 4 and 6. bytes.hex writes each
+# byte of v as two digits, high nibble first, so this table, which maps
+# each hex digit to its nibble spread out, turns the hex of v's big-endian
+# bytes into the big-endian bytes of v^2.
+_SPREAD_HEX = bytes.maketrans(
+    b"0123456789abcdef",
+    bytes(sum(((w >> i) & 1) << (2 * i) for i in range(4)) for w in range(16)))
 
 
 def _fold_exponents(rest: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -392,13 +394,13 @@ def _square_mod(b: int, steps: int, f: int, lam: int,
     none is left, a dense f (``rest`` None) is divided out. The fold is one
     unrolled expression for a pentanomial with constant term 1, the shape
     of every table entry and of most candidates the scan walks, and a loop
-    over the exponents otherwise. While steps remain, b is then squared
-    into one reused buffer, each byte spread by the two nibble tables; this
-    is what makes degree-30000 tests practical.
+    over the exponents otherwise. While steps remain, b is then squared in
+    three C passes: ``bytes.hex`` doubles its big-endian bytes into hex
+    digits, one ``translate`` spreads each digit's nibble over a byte, and
+    ``int.from_bytes`` reads the square back; this is what makes
+    degree-30000 tests practical.
     """
     nbytes = (lam + 7) // 8
-    out = bytearray(2 * nbytes) if steps else None  # reduce_mod squares none
-    low, high = _SPREAD_LOW, _SPREAD_HIGH
     mask = (1 << lam) - 1
     pentanomial = rest is not None and len(rest) == 4 and rest[-1] == 0
     if pentanomial:
@@ -424,10 +426,9 @@ def _square_mod(b: int, steps: int, f: int, lam: int,
         if not steps:
             return b
         steps -= 1
-        raw = b.to_bytes(nbytes, "little")
-        out[0::2] = raw.translate(low)
-        out[1::2] = raw.translate(high)
-        b = int.from_bytes(out, "little")
+        b = int.from_bytes(
+            b.to_bytes(nbytes, "big").hex().encode().translate(_SPREAD_HEX),
+            "big")
 
 
 # Moduli whose live search takes seconds to hours: lexicographically

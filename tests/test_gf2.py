@@ -39,7 +39,27 @@ from entroseal.gf2ref import (
 )
 from entroseal.modulus import is_irreducible
 
-AES_SPEC = FieldSpec.from_modulus(BitPoly(0x11B, 9))
+# Every spec below is built when a test asks for it, never at import:
+# building one squares (a scan, or from_modulus's irreducibility walk), so
+# a fault in a square or a walk fails the tests that use it by name rather
+# than the collection of this whole file. Dense and top-heavy moduli:
+# 1 + x + ... + x^100 (reduced by division) and x^127 + x^126 + 1, whose
+# folds clear one bit a round.
+SPECS = {
+    "aes": lambda: FieldSpec.from_modulus(BitPoly(0x11B, 9)),
+    "8": lambda: find_irreducible(8),
+    "64": lambda: find_irreducible(64),
+    "127": lambda: find_irreducible(127),
+    "all-one-100": lambda: FieldSpec.from_modulus(
+        BitPoly((1 << 101) - 1, 101)),
+    "x127+x126+1": lambda: FieldSpec.from_modulus(
+        BitPoly((1 << 127) | (1 << 126) | 1, 128)),
+}
+
+
+@pytest.fixture
+def aes_spec():
+    return SPECS["aes"]()
 
 
 class TestBitPoly:
@@ -339,10 +359,10 @@ def test_opcount_add_and_total():
 # Field spec and reduction
 # ---------------------------------------------------------------------------
 
-def test_fieldspec_from_modulus():
-    assert AES_SPEC.lam == 8
-    assert AES_SPEC.weight == 5
-    assert AES_SPEC.reduction_exponents == (4, 3, 1, 0)
+def test_fieldspec_from_modulus(aes_spec):
+    assert aes_spec.lam == 8
+    assert aes_spec.weight == 5
+    assert aes_spec.reduction_exponents == (4, 3, 1, 0)
 
 
 def test_fieldspec_rejects_reducible():
@@ -372,15 +392,15 @@ def test_reduce_cost_frozen(lam, width, xors):
 
 def test_reduce_cost_over_many_fold_rounds():
     # weight - 1 XORs per excess bit, the excess shrinking by one a round
-    assert reduce_cost(200, ALL_ONE_100) == OpCount(0, 505000)
-    assert reduce_cost(254, TOP_HEAVY_127) == OpCount(0, 16256)
+    assert reduce_cost(200, SPECS["all-one-100"]()) == OpCount(0, 505000)
+    assert reduce_cost(254, SPECS["x127+x126+1"]()) == OpCount(0, 16256)
 
 
-def test_reduce_cost_rejects_overwide_input():
+def test_reduce_cost_rejects_overwide_input(aes_spec):
     with pytest.raises(PreconditionError):
-        reduce_cost(17, AES_SPEC)
+        reduce_cost(17, aes_spec)
     with pytest.raises(PreconditionError):
-        reduce_mod(BitPoly(0, 17), AES_SPEC)
+        reduce_mod(BitPoly(0, 17), aes_spec)
 
 
 def test_reduce_mod_exhaustive_small():
@@ -392,20 +412,10 @@ def test_reduce_mod_exhaustive_small():
             assert got.nbits == 4
 
 
-# Dense and top-heavy moduli: 1 + x + ... + x^100 (reduced by division)
-# and x^127 + x^126 + 1, whose folds clear one bit a round
-ALL_ONE_100 = FieldSpec.from_modulus(BitPoly((1 << 101) - 1, 101))
-TOP_HEAVY_127 = FieldSpec.from_modulus(
-    BitPoly((1 << 127) | (1 << 126) | 1, 128))
-
-
-@pytest.mark.parametrize("spec", [
-    *(pytest.param(find_irreducible(lam), id=str(lam))
-      for lam in (8, 64, 127)),
-    pytest.param(ALL_ONE_100, id="all-one-100"),
-    pytest.param(TOP_HEAVY_127, id="x127+x126+1"),
-])
-def test_reduce_mod_matches_long_division(spec):
+@pytest.mark.parametrize("name", ["8", "64", "127", "all-one-100",
+                                  "x127+x126+1"])
+def test_reduce_mod_matches_long_division(name):
+    spec = SPECS[name]()
     lam = spec.lam
     rng = random.Random(lam)
     for _ in range(200):
@@ -415,9 +425,9 @@ def test_reduce_mod_matches_long_division(spec):
         assert got.value == reduce_by_division(v, spec.modulus.value)
 
 
-def test_reduce_mod_x_to_the_lam():
+def test_reduce_mod_x_to_the_lam(aes_spec):
     # x^8 = x^4 + x^3 + x + 1 mod the AES polynomial
-    got = reduce_mod(BitPoly(1 << 8, 16), AES_SPEC)
+    got = reduce_mod(BitPoly(1 << 8, 16), aes_spec)
     assert got.value == 0b11011
 
 
@@ -462,9 +472,9 @@ def test_frobenius_fixed_points():
         assert b.value == a
 
 
-def test_gf_mul_rejects_overdegree_operands():
+def test_gf_mul_rejects_overdegree_operands(aes_spec):
     with pytest.raises(PreconditionError):
-        gf_mul(BitPoly(1 << 8, 9), BitPoly(1, 9), AES_SPEC)
+        gf_mul(BitPoly(1 << 8, 9), BitPoly(1, 9), aes_spec)
 
 
 def test_gf_mul_backends_agree():
@@ -914,19 +924,54 @@ def test_top_heavy_trinomial_is_tested_through_its_reciprocal(monkeypatch):
 @pytest.mark.parametrize("width", [*range(1, 18), 31, 32, 33, 255, 256,
                                    257, 4171, 32768])
 def test_square_matches_shift_and_xor(width):
-    # the nibble tables spread each byte into two; check every byte
-    # boundary and both nibbles against the plain product v * v, modulo an
-    # f of degree 2*width + 1 that leaves the square unreduced, once
-    # folding through f's low terms and once dividing f out
+    # a square spreads each hex digit of v's big-endian bytes over a byte;
+    # check every byte boundary, and every value up to width 8 (each digit
+    # as a high and as a low nibble), against the plain product v * v,
+    # modulo an f of degree 2*width + 1 that leaves the square unreduced,
+    # once folding through f's low terms and once dividing f out
     lam = 2 * width + 1
     f = (1 << lam) | 0b11
     rng = random.Random(width)
-    values = [0, 1, (1 << width) - 1, 1 << (width - 1)]
-    values += [rng.getrandbits(width) for _ in range(20)]
+    if width <= 8:
+        values = range(1 << width)
+    else:
+        values = [0, 1, (1 << width) - 1, 1 << (width - 1)]
+        values += [rng.getrandbits(width) for _ in range(20)]
     for v in values:
         want = clmul_shift_xor(v, v)
         for rest in (gf2._fold_exponents((1, 0)), None):
             assert gf2._square_mod(v, 1, f, lam, rest) == want, (width, hex(v))
+
+
+# Moduli for each reduction path: pentanomials with constant term 1 take
+# the unrolled fold, trinomials the loop over their exponents, and more
+# than 16 terms long division. Squaring mod f needs no irreducible f.
+SQUARE_MODULI = {
+    "pentanomial-64": (64, (4, 3, 1, 0)),
+    "pentanomial-163": (163, (7, 6, 3, 0)),
+    "trinomial-127": (127, (1, 0)),
+    "trinomial-100": (100, (37, 0)),
+    "dense-100": (100, tuple(range(99, -1, -1))),
+}
+
+
+@pytest.mark.parametrize("steps", [2, 7])
+@pytest.mark.parametrize("name", list(SQUARE_MODULI))
+def test_repeated_squares_match_long_division(name, steps):
+    # b^(2^steps) mod f against squaring by shift-and-xor and dividing f
+    # out after each step, for reduced b and for b up to 2*lam wide
+    lam, exps = SQUARE_MODULI[name]
+    f = gf2._poly(lam, exps)
+    rest = gf2._fold_exponents(exps)
+    assert (rest is None) == name.startswith("dense")
+    rng = random.Random(f"{name}-{steps}")
+    values = [1, 2, (1 << lam) - 1, (1 << (2 * lam)) - 1]
+    values += [rng.getrandbits(rng.choice((lam, 2 * lam))) for _ in range(30)]
+    for v in values:
+        want = reduce_by_division(v, f)
+        for _ in range(steps):
+            want = reduce_by_division(clmul_shift_xor(want, want), f)
+        assert gf2._square_mod(v, steps, f, lam, rest) == want, hex(v)
 
 
 def test_no_trinomials_at_degrees_divisible_by_eight():

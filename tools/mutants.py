@@ -118,6 +118,22 @@ MUTANTS = [
            "for d in range(1, _SIEVE_DEGREE))",
            "without degree 10 a merged power would leave the slots of the "
            "99 irreducibles of degree 10 at 0"),
+    Mutant("src/entroseal/gf2.py",
+           'b"0123456789abcdef"', 'b"0123456789abcdeF"',
+           "the hex digit f would be left as its ASCII byte, not spread, so "
+           "every square with a nibble 15 would be wrong"),
+    Mutant("src/entroseal/gf2.py",
+           '_SPREAD_HEX),\n            "big")',
+           '_SPREAD_HEX),\n            "little")',
+           "reading the spread bytes little-endian would reverse the "
+           "square's bytes"),
+    Mutant("src/entroseal/gf2.py",
+           "^ (hi << e2) ^ (hi << e1)", "^ (hi << e1)",
+           "the unrolled pentanomial fold would drop the term x^b, so it "
+           "would reduce mod the trinomial x^lam + x^a + x^c + 1"),
+    Mutant("src/entroseal/gf2.py",
+           "for e in rest:", "for e in rest[:-1]:",
+           "the loop fold would drop the modulus's constant term"),
 ]
 
 
