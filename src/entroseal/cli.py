@@ -147,6 +147,14 @@ def _load_key(path: str, ell: int) -> BitPoly:
     return BitPoly(value, ell)
 
 
+def _emit(args: argparse.Namespace, obj, text: str) -> None:
+    """Print obj as indented JSON under ``--format json``, else text."""
+    if args.format == "json":
+        import json
+        text = json.dumps(obj, indent=2) + "\n"
+    print(text, end="")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -169,12 +177,7 @@ def cmd_params(args: argparse.Namespace) -> int:
                 params.n, params.t, params.epsilon)
         except ParameterError:  # it rounds below 1 bit; the strict ell holds
             out["indistinguishability_ell"] = None
-    if args.format == "json":
-        import json
-        print(json.dumps(out, indent=2))
-    else:
-        for k, v in out.items():
-            print(f"{k} = {v}")
+    _emit(args, out, "".join(f"{k} = {v}\n" for k, v in out.items()))
     return 0
 
 
@@ -218,11 +221,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                      **timing.get(method, {})}
                     for backend in args.backends for method in methods]
     text, rows = benchmod.emit_table(records)
-    if args.format == "json":
-        import json
-        print(json.dumps(rows, indent=2))
-    else:
-        print(text, end="")
+    _emit(args, rows, text)
     return 0
 
 
@@ -236,12 +235,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks = verify.classical(budget)
     else:
         checks = verify.quantum(args.seed)
-    if args.format == "json":
-        import json
-        print(json.dumps([c.to_dict() for c in checks], indent=2))
-    else:
-        for c in checks:
-            print(c.line())
+    _emit(args, [c.to_dict() for c in checks],
+          "".join(f"{c.line()}\n" for c in checks))
     failed = [c for c in checks if not c.passed]
     summary = f"{len(checks) - len(failed)}/{len(checks)} checks passed"
     print(summary, file=sys.stderr)

@@ -23,9 +23,10 @@ library is used. The sieve holds a candidate's remainders mod all 225
 irreducibles of degree <= 10, found by Eratosthenes' sieve over GF(2)[x],
 as one int with a 16-bit slot each, and a few whole-int operations tell
 whether any is 0. Every term's remainders come from one table of x^e for
-e < 2^10 - 1, built once per process: x^(2^d - 1) = 1 mod each such g of
-degree d (Fermat's little theorem in GF(2^d)), so a larger e reads entry
-e mod (2^d - 1) for the slots of degree d.
+e < 2^10 - 1: x^(2^d - 1) = 1 mod each such g of degree d (Fermat's
+little theorem in GF(2^d)), so a larger e reads entry e mod (2^d - 1)
+for the slots of degree d. The slot layout and that table are built
+when the module is imported, since every scan needs them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import PreconditionError
 from .gf2 import (BitPoly, _comb_int, _exponents_desc, _fold_exponents, _poly,
@@ -79,7 +79,6 @@ def _swan_reducible(n: int, k: int) -> bool:
 _SIEVE_DEGREE = 10
 
 
-@lru_cache(maxsize=1)
 def _sieve_moduli() -> tuple[int, ...]:
     """The irreducibles of degree 1 .. _SIEVE_DEGREE except x, ascending.
 
@@ -109,64 +108,51 @@ def _pack(slots: list[int]) -> int:
     return int.from_bytes(array("H", slots).tobytes(), "little")
 
 
-class _Packing(NamedTuple):
-    """The sieve's slot layout: one 16-bit slot per sieve irreducible g,
-    in the order of :func:`_sieve_moduli`, holding a residue r mod g as
-    r << (_SIEVE_DEGREE - deg g), so x^(deg g) lands on bit _SIEVE_DEGREE
-    of every slot."""
-    shifts: tuple[int, ...]  # _SIEVE_DEGREE - deg g, per slot
-    moduli: int  # each g, shifted as a residue
-    ones: int  # 1 in every slot
-    # (2^d - 1, 0xFFFF in each slot of degree d) for d = 1 .. _SIEVE_DEGREE
-    periods: tuple[tuple[int, int], ...]
+# The sieve's slot layout: one 16-bit slot per sieve irreducible g, in the
+# order of _MODULI, holding a residue r mod g as r << (_SIEVE_DEGREE - deg g)
+# (the slot's entry in _SHIFTS), so x^(deg g) lands on bit _SIEVE_DEGREE of
+# every slot. _SLOT_MODULI holds each g shifted so, _ONES 1 in every slot
+# and _HIGH bit 15 of every slot.
+_MODULI = _sieve_moduli()
+_SHIFTS = tuple(_SIEVE_DEGREE + 1 - g.bit_length() for g in _MODULI)
+_SLOT_MODULI = _pack([g << s for g, s in zip(_MODULI, _SHIFTS)])
+_ONES = _pack([1] * len(_MODULI))
+_HIGH = _ONES << 15
+# (2^d - 1, 0xFFFF in each slot of degree d) for d = 1 .. _SIEVE_DEGREE
+_PERIODS = tuple(((1 << d) - 1, _pack([0xFFFF * (g.bit_length() == d + 1)
+                                       for g in _MODULI]))
+                 for d in range(1, _SIEVE_DEGREE + 1))
 
 
-@lru_cache(maxsize=1)
-def _packing() -> _Packing:
-    moduli = _sieve_moduli()
-    shifts = tuple(_SIEVE_DEGREE + 1 - g.bit_length() for g in moduli)
-    periods = tuple(((1 << d) - 1, _pack([0xFFFF * (g.bit_length() == d + 1)
-                                          for g in moduli]))
-                    for d in range(1, _SIEVE_DEGREE + 1))
-    return _Packing(shifts, _pack([g << s for g, s in zip(moduli, shifts)]),
-                    _pack([1] * len(moduli)), periods)
-
-
-def _times_x(r: int, packing: _Packing) -> int:
+def _times_x(r: int) -> int:
     """x*r mod g in every slot: one shift moves each residue up, and g
     is subtracted from the slots that reached x^(deg g), where bit
     _SIEVE_DEGREE is set. An aligned residue stays below bit
     _SIEVE_DEGREE + 1, so nothing crosses into the next slot."""
     r <<= 1
-    return r ^ ((r >> _SIEVE_DEGREE) & packing.ones) * 0xFFFF & packing.moduli
+    return r ^ ((r >> _SIEVE_DEGREE) & _ONES) * 0xFFFF & _SLOT_MODULI
 
 
-@lru_cache(maxsize=1)
-def _power_table() -> tuple[int, ...]:
-    """x^e mod g in every slot, packed by :func:`_packing`, for
-    e = 0 .. 2^_SIEVE_DEGREE - 2: one multiply-by-x step each from x^0.
-    Independent of lam, so built once per process (1,023 ints)."""
-    packing = _packing()
-    powers = [_pack([1 << s for s in packing.shifts])]
-    for _ in range((1 << _SIEVE_DEGREE) - 2):
-        powers.append(_times_x(powers[-1], packing))
-    return tuple(powers)
+# x^e mod g in every slot for e = 0 .. 2^_SIEVE_DEGREE - 2 (1,023 ints):
+# one multiply-by-x step each from x^0. Independent of lam.
+_POWERS = [_pack([1 << s for s in _SHIFTS])]
+for _ in range((1 << _SIEVE_DEGREE) - 2):
+    _POWERS.append(_times_x(_POWERS[-1]))
 
 
 def _power(e: int) -> int:
-    """x^e mod g in every slot, read from :func:`_power_table`.
+    """x^e mod g in every slot.
 
     x^(2^d - 1) = 1 mod every irreducible g of degree d but x (the
     multiplicative group of GF(2^d) has 2^d - 1 elements), so x^e mod g
     is x^(e mod (2^d - 1)) mod g: a larger e merges, degree by degree,
-    the slots of g of degree d from the table's entry at e mod (2^d - 1).
+    the slots of g of degree d from entry e mod (2^d - 1) of _POWERS.
     """
-    powers = _power_table()
-    if e < len(powers):
-        return powers[e]
+    if e < len(_POWERS):
+        return _POWERS[e]
     r = 0
-    for period, slots in _packing().periods:
-        r |= powers[e % period] & slots
+    for period, slots in _PERIODS:
+        r |= _POWERS[e % period] & slots
     return r
 
 
@@ -176,20 +162,17 @@ def _has_small_factor(exps: tuple[int, ...], base: int) -> bool:
     :func:`_power` at lam.
 
     The candidate's residues mod all 225 g are the XOR of its packed
-    terms, each read from one table (:func:`_power`, by the Fermat
+    terms, each read from _POWERS (through :func:`_power`, by the Fermat
     identity x^(2^d - 1) = 1 mod g), and some g divides it exactly when
-    some slot is 0: with ``high`` bit 15 of every slot, (r | high) - ones
+    some slot is 0: with _HIGH bit 15 of every slot, (r | _HIGH) - _ONES
     keeps bit 15 of each nonzero slot and clears it in each zero one, and
     no borrow crosses a slot (the zero-byte test of "Bit Twiddling
     Hacks", on 16-bit slots).
     """
-    powers = _power_table()
     r = base
     for e in exps:
-        r ^= powers[e] if e < len(powers) else _power(e)
-    ones = _packing().ones
-    high = ones << 15
-    return (r | high) - ones & high != high
+        r ^= _POWERS[e] if e < len(_POWERS) else _power(e)
+    return (r | _HIGH) - _ONES & _HIGH != _HIGH
 
 
 def _stickelberger_reducible(n: int, a: int, b: int, c: int) -> bool | None:
@@ -413,11 +396,10 @@ def scan(lam: int) -> tuple[int, ...]:
        divides lam);
     2. the small-factor sieve (:func:`_has_small_factor`: no factor of
        degree <= 10), a few whole-int operations on the candidate's
-       remainders mod all 225 irreducibles g of degree <= 10, packed by
-       :class:`_Packing` into one int: every term x^e, x^lam once per
-       degree, is read from one table of x^e for e < 2^10 - 1
-       (:func:`_power`), which suffices because x^(2^d - 1) = 1 mod each
-       g of degree d;
+       remainders mod all 225 irreducibles g of degree <= 10, packed
+       into one int: every term x^e, x^lam once per degree, is read from
+       one table of x^e for e < 2^10 - 1 (:func:`_power`), which
+       suffices because x^(2^d - 1) = 1 mod each g of degree d;
     3. for a pentanomial x^lam + x^a + ..., the parity test
        (:func:`_stickelberger_reducible`: Stickelberger's theorem, which
        underlies Swan's rule, read from the discriminant mod 8 through a

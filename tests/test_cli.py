@@ -102,6 +102,59 @@ class TestParams:
         assert "ell = 7" in out
         assert "lambda = 9" in out
 
+    # the whole stdout, byte for byte: key order, spacing, float spelling
+    # and the JSON indent are part of the output
+    PINNED_16 = {
+        "classical": (
+            ("n = 16\n"
+             "t = 8.0\n"
+             "epsilon = 0.25\n"
+             "mode = classical\n"
+             "ell = 7\n"
+             "lambda = 9\n"
+             "tail_len = 9\n"
+             "out_len = 16\n"),
+            ("{\n"
+             '  "n": 16,\n'
+             '  "t": 8.0,\n'
+             '  "epsilon": 0.25,\n'
+             '  "mode": "classical",\n'
+             '  "ell": 7,\n'
+             '  "lambda": 9,\n'
+             '  "tail_len": 9,\n'
+             '  "out_len": 16\n'
+             "}\n")),
+        "quantum": (
+            ("n = 16\n"
+             "t = 8.0\n"
+             "epsilon = 0.25\n"
+             "mode = quantum\n"
+             "ell = 15\n"
+             "lambda = 17\n"
+             "tail_len = 17\n"
+             "out_len = 32\n"
+             "indistinguishability_ell = 12\n"),
+            ("{\n"
+             '  "n": 16,\n'
+             '  "t": 8.0,\n'
+             '  "epsilon": 0.25,\n'
+             '  "mode": "quantum",\n'
+             '  "ell": 15,\n'
+             '  "lambda": 17,\n'
+             '  "tail_len": 17,\n'
+             '  "out_len": 32,\n'
+             '  "indistinguishability_ell": 12\n'
+             "}\n")),
+    }
+
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_full_output_is_pinned(self, capsys, mode):
+        argv = ["params", "--n-bits", "16", "--t", "8", "--epsilon", "0.25",
+                "--mode", mode]
+        text, as_json = self.PINNED_16[mode]
+        assert run(capsys, argv) == (0, text, "")
+        assert run(capsys, [*argv, "--format", "json"]) == (0, as_json, "")
+
     def test_epsilon_spellings_agree(self):
         assert _parse_epsilon("2^-40") == 2.0 ** -40
         assert _parse_epsilon("2**-40") == 2.0 ** -40

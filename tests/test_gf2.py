@@ -640,14 +640,14 @@ def _x_power_by_division(e, g):
 
 def _unpack(r):
     """The 16-bit slots of a packed int, lowest first."""
-    n = len(modulus._sieve_moduli())
+    n = len(modulus._MODULI)
     return list(memoryview(r.to_bytes(2 * n, "little")).cast("H"))
 
 
 def test_small_factor_sieve_matches_trial_division():
-    # one process, five lambdas: the lam-independent table is built once
-    # and shared, and each base must still answer for its own lam. Every
-    # trinomial of the scan's range and every pentanomial with a <= 24,
+    # one process, five lambdas: the lam-independent table is built at
+    # import and shared, and each base must still answer for its own lam.
+    # Every trinomial of the scan's range and every pentanomial with a <= 24,
     # against division by each of the 225 irreducibles: f mod g is the
     # XOR of its terms' remainders, as division is linear. x^lam is a
     # merge of table entries from 1083 up, and at 2133 so is x^m for
@@ -658,7 +658,7 @@ def test_small_factor_sieve_matches_trial_division():
              if irreducible_by_trial_division(g)]
     # one slot for every irreducible of degree <= depth but x
     assert list(modulus._sieve_moduli()) == small
-    assert len(modulus._power_table()) == (1 << depth) - 1
+    assert len(modulus._POWERS) == (1 << depth) - 1
     rng = random.Random(0x51E7E)
     for lam in (61, 130, 411, 1083, 2133):
         rems = _remainders_by_division(lam, small)
@@ -689,9 +689,9 @@ def test_packed_step_matches_the_sieve_tables():
     # bit _SIEVE_DEGREE of the slot, against division: for e < 2046, two
     # full periods of every g (the table, then merges of its entries),
     # one polydivmod step from x^(e-1), and far out by square-and-multiply
-    moduli = modulus._sieve_moduli()
+    moduli = modulus._MODULI
     shifts = [modulus._SIEVE_DEGREE + 1 - g.bit_length() for g in moduli]
-    assert list(modulus._packing().shifts) == shifts
+    assert list(modulus._SHIFTS) == shifts
     walks = _remainders_by_division(2045, moduli)
     for e in range(2046):
         want = [walk[e] << s for walk, s in zip(walks, shifts)]
@@ -708,7 +708,7 @@ def test_sieve_tables_match_a_plain_walk():
     # subtract g on overflow) over the table's 2^depth - 1 entries, and
     # x^(2^d - 1) = 1 mod g, the identity by which larger powers merge
     depth = modulus._SIEVE_DEGREE
-    table = [_unpack(r) for r in modulus._power_table()]
+    table = [_unpack(r) for r in modulus._POWERS]
     assert len(table) == (1 << depth) - 1
     slot = 0
     for g in range(3, 1 << (depth + 1), 2):

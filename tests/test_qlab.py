@@ -328,6 +328,12 @@ class TestChecks:
         rep = check_trace_norm_bound(params, st, sigmas)
         assert rep.passed, rep.line()
         assert "product_bound" not in dict(rep.context)
+        # every ceiling is proved, so the check holds the left side to the
+        # smallest of them, not to the loosest
+        ceilings = [check_trace_norm_bound(params, st, [s]).bound
+                    for s in sigmas]
+        assert min(ceilings) < max(ceilings)
+        assert rep.bound == min(ceilings)
 
     def test_trace_norm_bound_fixed_point_has_zero_lhs(self):
         params = ExpansionParams.quantum(1, 1)

@@ -85,8 +85,8 @@ MUTANTS = [
            "without the step-48 gcd a factor of degree 25..48 is missed "
            "or found only at the end of the walk"),
     Mutant("src/entroseal/modulus.py",
-           "(r | high) - ones & high != high",
-           "(r | high) - 2 * ones & high != high",
+           "(r | _HIGH) - _ONES & _HIGH != _HIGH",
+           "(r | _HIGH) - 2 * _ONES & _HIGH != _HIGH",
            "subtracting 2 per slot would read a remainder of 1 as 0, so the "
            "sieve would drop candidates, irreducible ones too"),
     Mutant("src/entroseal/modulus.py",
@@ -94,8 +94,8 @@ MUTANTS = [
            "without its x^0 term the sieve would test x^lam + x^m rather "
            "than x^lam + x^m + 1"),
     Mutant("src/entroseal/modulus.py",
-           "return r ^ ((r >> _SIEVE_DEGREE) & packing.ones)",
-           "return r ^ ((r >> (_SIEVE_DEGREE - 1)) & packing.ones)",
+           "return r ^ ((r >> _SIEVE_DEGREE) & _ONES)",
+           "return r ^ ((r >> (_SIEVE_DEGREE - 1)) & _ONES)",
            "reading the overflow one bit low, the multiply-by-x step would "
            "subtract g from the wrong slots"),
     Mutant("src/entroseal/modulus.py",
@@ -134,6 +134,21 @@ MUTANTS = [
     Mutant("src/entroseal/gf2.py",
            "for e in rest:", "for e in rest[:-1]:",
            "the loop fold would drop the modulus's constant term"),
+    Mutant("src/entroseal/gf2.py",
+           " ^ t15[w15]", "",
+           "the 64-bit-step comb would drop the top nibble of every word of "
+           "the narrower operand"),
+    Mutant("src/entroseal/gf2.py",
+           "out[0::2] = raw.translate(_LOW_NIBBLE)\n"
+           "    out[1::2] = raw.translate(_HIGH_NIBBLE)",
+           "out[0::2] = raw.translate(_HIGH_NIBBLE)\n"
+           "    out[1::2] = raw.translate(_LOW_NIBBLE)",
+           "with the nibbles of each byte swapped, the 4-bit-window comb and "
+           "the 64-bit-step comb would multiply by the wrong windows"),
+    Mutant("src/entroseal/qlab.py",
+           "bound = min(bounds)", "bound = max(bounds)",
+           "the trace-norm check would pass when any one ceiling holds, "
+           "though each is a proved bound that must hold on its own"),
 ]
 
 
