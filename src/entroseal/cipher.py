@@ -21,8 +21,8 @@ import math
 
 from .errors import (FormatError, LengthError, ParameterError,
                      PreconditionError, WireErrorCode)
-from .gf2 import BitPoly
-from .keyexpand import (ExpansionParams, Mode, expand_affine,
+from .gf2 import BitPoly, _bitpoly
+from .keyexpand import (ExpansionParams, Mode, _set_sizes, expand_affine,
                         sample_public_randomness)
 from .rng import RandomSource
 
@@ -177,9 +177,10 @@ class Ciphertext(ExpansionParams):
         :func:`encrypt_with` and :func:`quantum_keytag_with` compute them:
         nothing is checked again."""
         c = object.__new__(cls)
-        for name, value in zip(cls._fields, (sizes.n, sizes.ell, sizes.mode,
-                                             u, v, payload)):
-            object.__setattr__(c, name, value)
+        _set_sizes(c, sizes.n, sizes.ell, sizes.mode, sizes.out_len)
+        object.__setattr__(c, "u", u)
+        object.__setattr__(c, "v", v)
+        object.__setattr__(c, "payload", payload)
         return c
 
 
@@ -195,7 +196,8 @@ def encrypt_with(key: BitPoly, x: BitPoly, params: ExpansionParams,
         raise PreconditionError("encrypt applies to classical mode only")
     params.check_widths(plaintext=x)
     pad = expand_affine(key, u, v, params)
-    return Ciphertext._of_sized(params, u, v, x ^ pad)
+    return Ciphertext._of_sized(params, u, v,
+                                _bitpoly(x.value ^ pad.value, params.n))
 
 
 def encrypt(key: BitPoly, x: BitPoly, params: ExpansionParams,
@@ -214,7 +216,8 @@ def decrypt(key: BitPoly, c: Ciphertext) -> BitPoly:
     if c.mode is not Mode.CLASSICAL:
         raise PreconditionError(
             "quantum key tags are consumed by the simulator, not decrypt")
-    return c.payload ^ expand_affine(key, c.u, c.v, c)
+    pad = expand_affine(key, c.u, c.v, c)
+    return _bitpoly(c.payload.value ^ pad.value, c.n)
 
 
 def quantum_keytag_with(key: BitPoly, params: ExpansionParams, u: BitPoly,
@@ -249,16 +252,9 @@ _HEADER_LEN = 4 + 1 + 1 + 8 + 8
 
 
 def serialize(c: Ciphertext) -> bytes:
-    out = bytearray()
-    out += MAGIC
-    out.append(VERSION)
-    out.append(_MODE_BYTE[c.mode])
-    out += c.n.to_bytes(8, "little")
-    out += c.ell.to_bytes(8, "little")
-    out += c.u.to_bytes()
-    out += c.v.to_bytes()
-    out += c.payload.to_bytes()
-    return bytes(out)
+    return b"".join((MAGIC, bytes((VERSION, _MODE_BYTE[c.mode])),
+                     c.n.to_bytes(8, "little"), c.ell.to_bytes(8, "little"),
+                     c.u.to_bytes(), c.v.to_bytes(), c.payload.to_bytes()))
 
 
 def deserialize(data: bytes) -> Ciphertext:

@@ -94,12 +94,12 @@ class BitPoly(Record):
     def __xor__(self, other: "BitPoly") -> "BitPoly":
         if self.nbits != other.nbits:
             raise LengthError(f"width mismatch: {self.nbits} vs {other.nbits}")
-        return BitPoly(self.value ^ other.value, self.nbits)
+        return _bitpoly(self.value ^ other.value, self.nbits)
 
     def concat(self, other: "BitPoly") -> "BitPoly":
         """Concatenate, with ``self`` occupying the low-order bits."""
-        return BitPoly(self.value | (other.value << self.nbits),
-                       self.nbits + other.nbits)
+        return _bitpoly(self.value | (other.value << self.nbits),
+                        self.nbits + other.nbits)
 
     def resize(self, nbits: int) -> "BitPoly":
         """Zero-extend or (losslessly) narrow to ``nbits`` bits."""
@@ -107,7 +107,7 @@ class BitPoly(Record):
             raise LengthError(
                 f"cannot narrow to {nbits} bits without dropping set bits"
             )
-        return BitPoly(self.value, nbits)
+        return _bitpoly(self.value, nbits)
 
     def to_bytes(self) -> bytes:
         """Little-endian packing; bit i of the string is bit i%8 of byte i//8."""
@@ -122,7 +122,7 @@ class BitPoly(Record):
         value = int.from_bytes(data, "little")
         if value >> nbits:
             raise LengthError("padding bits beyond declared width are set")
-        return cls(value, nbits)
+        return _bitpoly(value, nbits)
 
     @classmethod
     def zero(cls, nbits: int) -> "BitPoly":
@@ -137,6 +137,18 @@ class BitPoly(Record):
 # frozen __setattr__.
 _set_value = BitPoly.value.__set__
 _set_nbits = BitPoly.nbits.__set__
+_new = object.__new__
+
+
+def _bitpoly(value: int, nbits: int) -> BitPoly:
+    """``BitPoly(value, nbits)`` without its checks, for a value that fits
+    its width by construction (``value >> nbits == 0``): the result of an
+    operation on checked BitPolys, or a value whose width was just checked.
+    Every result on the encrypt and decrypt path is built here once."""
+    p = _new(BitPoly)
+    _set_value(p, value)
+    _set_nbits(p, nbits)
+    return p
 
 
 class OpCount(Record):
@@ -273,7 +285,7 @@ def clmul(a: BitPoly, b: BitPoly) -> BitPoly:
     width; gate counts come from ``bench.clmul_cost``, whose Karatsuba
     backend only counts a split that is never evaluated.
     """
-    return BitPoly(_comb_int(a.value, b.value), a.nbits + b.nbits)
+    return _bitpoly(_comb_int(a.value, b.value), a.nbits + b.nbits)
 
 
 class FieldSpec(Record):
@@ -329,25 +341,32 @@ def reduce_mod(p: BitPoly, spec: FieldSpec) -> BitPoly:
     if p.nbits > 2 * lam:
         raise PreconditionError(
             f"reduction input of {p.nbits} bits exceeds 2*lam = {2 * lam}")
-    val = _square_mod(p.value, 0, spec.modulus.value, lam,
-                      _fold_exponents(spec.reduction_exponents))
-    return BitPoly(val, lam)
+    return _bitpoly(_square_mod(p.value, 0, spec.modulus.value, lam,
+                                _fold_exponents(spec.reduction_exponents)),
+                    lam)
 
 
 def gf_mul(a: BitPoly, b: BitPoly, spec: FieldSpec) -> BitPoly:
-    """Field multiplication in GF(2^lam): carry-less multiply then reduce."""
-    if a.degree >= spec.lam or b.degree >= spec.lam:
+    """Field multiplication in GF(2^lam): carry-less multiply then reduce.
+
+    Each operand may have any width, provided its degree is below lam; it
+    is taken at width lam, so the product has 2*lam bits.
+    """
+    lam = spec.lam
+    if a.value >> lam or b.value >> lam:
         raise PreconditionError("operands must have degree below lam")
-    aw = a if a.nbits == spec.lam else a.resize(spec.lam)
-    bw = b if b.nbits == spec.lam else b.resize(spec.lam)
-    return reduce_mod(clmul(aw, bw), spec)
+    if a.nbits != lam:
+        a = _bitpoly(a.value, lam)
+    if b.nbits != lam:
+        b = _bitpoly(b.value, lam)
+    return reduce_mod(clmul(a, b), spec)
 
 
 def lsb_truncate(p: BitPoly, m: int) -> BitPoly:
     """Keep the m low-order bits (coefficients of x^0 .. x^(m-1))."""
     if not 0 <= m <= p.nbits:
         raise PreconditionError(f"cannot take {m} low bits of {p.nbits}")
-    return BitPoly(p.value & ((1 << m) - 1), m)
+    return _bitpoly(p.value & ((1 << m) - 1), m)
 
 
 # ---------------------------------------------------------------------------

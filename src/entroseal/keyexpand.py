@@ -17,7 +17,7 @@ import enum
 
 from ._record import Record
 from .errors import LengthError, ParameterError
-from .gf2 import BitPoly, find_irreducible, gf_mul, lsb_truncate
+from .gf2 import BitPoly, _bitpoly, find_irreducible, gf_mul
 from .rng import RandomSource
 
 __all__ = [
@@ -57,39 +57,31 @@ class ExpansionParams(Record):
     both modes tail_len = out_len - ell is the part of the pad beyond the
     copied key, and the field has degree lam = max(ell, tail_len). n and
     ell are ints; mode accepts the enum or its string value and is stored
-    as the enum. ``cipher.SchemeParams`` and ``cipher.Ciphertext`` extend
-    this record, so either is accepted wherever it is.
+    as the enum. The derived sizes out_len, tail_len and lam are computed
+    once, at construction, and read as plain attributes; they take no part
+    in equality, hash or repr. ``cipher.SchemeParams`` and
+    ``cipher.Ciphertext`` extend this record, so either is accepted
+    wherever it is.
     """
 
-    __slots__ = _fields = ("n", "ell", "mode")
+    _fields = ("n", "ell", "mode")
+    __slots__ = _fields + ("out_len", "tail_len", "lam")
 
     def __init__(self, n: int, ell: int, mode: Mode | str) -> None:
         if isinstance(n, bool) or not isinstance(n, int):
             raise ParameterError(f"n must be an int, got {n!r}")
         if isinstance(ell, bool) or not isinstance(ell, int):
             raise ParameterError(f"ell must be an int, got {ell!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "mode", Mode.parse(mode))
+        mode = Mode.parse(mode)
         if n < 1:
             raise ParameterError("n must be >= 1")
-        if not 1 <= ell <= self.out_len:
+        out_len = n if mode is Mode.CLASSICAL else 2 * n
+        if not 1 <= ell <= out_len:
             raise ParameterError(
-                f"ell must be in [1, {self.out_len}] for {self.mode.value} "
+                f"ell must be in [1, {out_len}] for {mode.value} "
                 f"mode, got {ell}"
             )
-
-    @property
-    def out_len(self) -> int:
-        return self.n if self.mode is Mode.CLASSICAL else 2 * self.n
-
-    @property
-    def tail_len(self) -> int:
-        return self.out_len - self.ell
-
-    @property
-    def lam(self) -> int:
-        return max(self.ell, self.tail_len)
+        _set_sizes(self, n, ell, mode, out_len)
 
     @property
     def expansion(self) -> "ExpansionParams":
@@ -98,7 +90,8 @@ class ExpansionParams(Record):
 
     def check_widths(self, **fields: BitPoly) -> None:
         """Raise LengthError unless each bit string, named by its role,
-        has that role's width; roles are checked in the order given."""
+        has that role's width; roles are checked in the order given. This
+        is the one width check: what passes it is not checked again."""
         for role, p in fields.items():
             want = getattr(self, _WIDTH_OF[role])
             if p.nbits != want:
@@ -114,6 +107,25 @@ class ExpansionParams(Record):
         return ExpansionParams(n, ell, Mode.QUANTUM)
 
 
+# Sizes are set on every round trip, so the slots are written through the
+# slot descriptors' own setters, as gf2 writes a BitPoly's.
+_set_n, _set_ell, _set_mode, _set_out_len, _set_tail_len, _set_lam = (
+    getattr(ExpansionParams, name).__set__
+    for name in ExpansionParams.__slots__)
+
+
+def _set_sizes(p: ExpansionParams, n: int, ell: int, mode: Mode,
+               out_len: int) -> None:
+    """Store checked sizes, and the sizes derived from them, in p."""
+    tail_len = out_len - ell
+    _set_n(p, n)
+    _set_ell(p, ell)
+    _set_mode(p, mode)
+    _set_out_len(p, out_len)
+    _set_tail_len(p, tail_len)
+    _set_lam(p, max(ell, tail_len))
+
+
 def expand_affine(key: BitPoly, u: BitPoly, v: BitPoly,
                   params: ExpansionParams) -> BitPoly:
     """pad = key || (lsb_truncate(u * key, tail_len) xor v).
@@ -121,15 +133,16 @@ def expand_affine(key: BitPoly, u: BitPoly, v: BitPoly,
     The multiplication is in GF(2^lambda) with the key zero-extended to
     lambda bits; the product's tail_len low-order bits are kept. Since
     truncation is linear, adding v after truncating equals embedding v
-    low and adding before: lsb(u*k + v) = lsb(u*k) xor v.
+    low and adding before: lsb(u*k + v) = lsb(u*k) xor v. Past the width
+    check, the pad is computed on the coefficient masks and built once.
     """
     params.check_widths(key=key, u=u, v=v)
-    if params.tail_len == 0:
+    tail_len = params.tail_len
+    if tail_len == 0:
         return key
-    spec = find_irreducible(params.lam)
-    product = gf_mul(u, key.resize(params.lam), spec)
-    tail = lsb_truncate(product, params.tail_len) ^ v
-    return key.concat(tail)
+    low = gf_mul(u, key, find_irreducible(params.lam)).value
+    low &= (1 << tail_len) - 1
+    return _bitpoly(key.value | (low ^ v.value) << params.ell, params.out_len)
 
 
 def expand_fullmul(key: BitPoly, r: BitPoly,

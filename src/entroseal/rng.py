@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .errors import EntropyError, PreconditionError
-from .gf2 import BitPoly
+from .gf2 import BitPoly, _bitpoly
 
 
 class RandomSource:
@@ -35,7 +35,7 @@ class RandomSource:
             value = self._rng.getrandbits(nbits)
         except (OSError, NotImplementedError) as exc:
             raise EntropyError(f"entropy source failed: {exc}") from exc
-        return BitPoly(value, nbits)
+        return _bitpoly(value, nbits)
 
     def __repr__(self) -> str:
         tag = "system" if self.seed is None else f"seed={self.seed}"

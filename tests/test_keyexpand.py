@@ -1,12 +1,18 @@
-"""Key expansion tests: sizing rules, the affine structure of the pad,
-baseline maps against the field oracle, and tail uniformity."""
+"""Key expansion tests: sizing rules, the affine structure of the pad and
+its BitPoly formula, baseline maps against the field oracle, and tail
+uniformity."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entroseal.cipher import (decrypt, deserialize, encrypt_with,
+                              quantum_keytag_with, serialize)
 from entroseal.errors import LengthError, ParameterError, PreconditionError
-from entroseal.gf2 import BitPoly, find_irreducible, gf_mul, lsb_truncate, reduce_mod
+from entroseal.gf2 import (BitPoly, clmul, find_irreducible, gf_mul,
+                           lsb_truncate, reduce_mod)
 from entroseal.gf2ref import clmul_karatsuba_counted, clmul_schoolbook_counted
 from entroseal.keyexpand import (
     ExpansionParams,
@@ -191,6 +197,61 @@ class TestExpandAffine:
             expand_affine(key, BitPoly(0, 8), v, exp)
         with pytest.raises(LengthError):
             expand_affine(key, u, BitPoly(0, 8), exp)
+
+
+def _fits(p):
+    # the results below are built without BitPoly's checks, so each must
+    # still fit its declared width
+    assert p.value >= 0 and p.value >> p.nbits == 0, p
+    return p
+
+
+# How ell compares with tail_len = out_len - ell: no tail at all, the key
+# longer (lam = ell), the tail longer (lam = tail_len), or both equal.
+_SHAPES = {
+    "no-tail": lambda out_len: (out_len, out_len),
+    "key-longer": lambda out_len: (out_len // 2 + 1, out_len - 1),
+    "tail-longer": lambda out_len: (1, (out_len - 1) // 2),
+    "equal": lambda out_len: (out_len // 2, out_len // 2),
+}
+
+
+@pytest.mark.parametrize("shape", list(_SHAPES))
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_expand_affine_matches_the_bitpoly_composition(mode, shape, data):
+    # expand_affine computes on the coefficient masks; the formula spelled
+    # out in BitPoly operations judges it, and each caller's result
+    n = data.draw(st.integers(3, 160))
+    out_len = n if mode is Mode.CLASSICAL else 2 * n
+    if shape == "equal" and out_len % 2:
+        n += 1  # n + 1 is even, and so is 2n
+        out_len = n if mode is Mode.CLASSICAL else 2 * n
+    low, high = _SHAPES[shape](out_len)
+    exp = ExpansionParams(n, data.draw(st.integers(low, high)), mode)
+    key, u, v = (BitPoly(data.draw(st.integers(0, (1 << w) - 1)), w)
+                 for w in (exp.ell, exp.lam, exp.tail_len))
+    spec = find_irreducible(exp.lam)
+    wide_key = key.resize(exp.lam)
+    product = _fits(clmul(u, wide_key))
+    assert _fits(reduce_mod(product, spec)) == _fits(gf_mul(u, key, spec))
+    want = key.concat(
+        lsb_truncate(gf_mul(u, wide_key, spec), exp.tail_len) ^ v)
+    pad = _fits(expand_affine(key, u, v, exp))
+    assert pad == want and pad.nbits == exp.out_len
+    if mode is Mode.QUANTUM:
+        assert quantum_keytag_with(key, exp, u, v).payload == want
+        return
+    x = BitPoly(data.draw(st.integers(0, (1 << n) - 1)), n)
+    c = encrypt_with(key, x, exp, u, v)
+    assert _fits(c.payload) == x ^ want
+    back = deserialize(serialize(c))
+    assert all(_fits(p) for p in (back.u, back.v, back.payload))
+    assert back == c
+    assert _fits(decrypt(key, back)) == x
+    assert all(_fits(p) for p in sample_public_randomness(
+        exp, RandomSource(n)))
 
 
 class TestBaselines:

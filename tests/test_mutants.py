@@ -56,9 +56,9 @@ def test_a_verdict_names_the_first_failure_and_an_error_its_cause():
         "no irreducible trinomial or pentanomial of degree 64\n"
         "!!!!!!!!!!!!!!!!!!! stopping after 1 failures !!!!!!!!!!!!!!!!!!!\n"
         "1 error in 2.31s\n")
-    assert mutants.killed_by(collection) == (
+    assert mutants.killed_by(collection) == [
         "tests/test_gf2.py - entroseal.errors.PreconditionError: "
-        "no irreducible trinomial or pentanomial of degree 64")
+        "no irreducible trinomial or pentanomial of degree 64"]
     failed = (
         "ERROR    a captured log line above the summary\n"
         "=========================== short test summary info ==="
@@ -66,7 +66,26 @@ def test_a_verdict_names_the_first_failure_and_an_error_its_cause():
         "FAILED tests/test_gf2.py::test_packed_step_matches_the_sieve_tables"
         " - AssertionError: 2047\n"
         "ERROR tests/test_cli.py::test_later - OSError\n"
-        "1 failed, 12 passed in 3.02s\n")
-    assert mutants.killed_by(failed) == \
-        "tests/test_gf2.py::test_packed_step_matches_the_sieve_tables"
-    assert mutants.killed_by("758 passed in 59.10s\n") is None
+        "1 failed, 12 passed, 1 error in 3.02s\n")
+    assert mutants.killed_by(failed) == [
+        "tests/test_gf2.py::test_packed_step_matches_the_sieve_tables",
+        "tests/test_cli.py::test_later - OSError"]
+    assert mutants.killed_by("758 passed in 59.10s\n") == []
+    # the run goes on past the first failure, so a pinned digest that
+    # fails first in file order does not hide the named tests that fail too
+    several = (
+        "FFF\n"
+        "=========================== short test summary info ==="
+        "=========================\n"
+        "FAILED tests/test_cli.py::TestVerifyPinned::"
+        "test_seed_zero_output_is_pinned[gf2] - AssertionError\n"
+        "FAILED tests/test_gf2.py::test_square_mod_matches_clmul[171] - "
+        "assert 1 == 0\n"
+        "FAILED tests/test_gf2.py::test_fold_keeps_the_constant_term - "
+        "AssertionError\n"
+        "3 failed, 760 passed in 61.20s\n")
+    assert mutants.killed_by(several) == [
+        "tests/test_cli.py::TestVerifyPinned::"
+        "test_seed_zero_output_is_pinned[gf2]",
+        "tests/test_gf2.py::test_square_mod_matches_clmul[171]",
+        "tests/test_gf2.py::test_fold_keeps_the_constant_term"]

@@ -3,17 +3,18 @@
 Each entry of MUTANTS names a file, a text that occurs in it exactly once,
 the text that replaces it, and why the change should be caught. For each
 entry the tracked files are copied to a temporary directory, the mutant
-is applied there, and tier-1 runs on the copy with ``-x`` under a time
+is applied there, and the whole of tier-1 runs on the copy under a time
 limit. Two tests are left out of that run: criterion 08, which fails on
 purpose (see the README), and ``tests/test_mutants.py``, which checks
 that each old text is still in place and so fails on every mutant. The
 repository itself is never written.
 
-Each entry prints one verdict: KILLED with the first failing test (for
-an error, such as a module that no longer collects, with its cause),
-KILLED on a timeout (a mutant that makes the suite hang is caught too),
-SURVIVED when every test passes, or EQUIVALENT, without a run, for an
-entry marked so, whose ``why`` says why no test can tell it apart.
+Each entry prints one verdict: KILLED with every failing test, one a
+line, in the order pytest reports them (for an error, such as a module
+that no longer collects, with its cause), KILLED on a timeout (a mutant
+that makes the suite hang is caught too), SURVIVED when every test
+passes, or EQUIVALENT, without a run, for an entry marked so, whose
+``why`` says why no test can tell it apart.
 
 Usage: python tools/mutants.py [TEXT ...]
 With no TEXT every entry runs; otherwise only the entries whose file or
@@ -67,8 +68,7 @@ MUTANTS = [
            "check_indistinguishability's docstring), so no input can fail "
            "either bound", equivalent=True),
     Mutant("src/entroseal/keyexpand.py",
-           "tail = lsb_truncate(product, params.tail_len) ^ v",
-           "tail = lsb_truncate(product, params.tail_len)",
+           "(low ^ v.value) << params.ell", "low << params.ell",
            "the affine expansion would drop its public offset v"),
     Mutant("src/entroseal/bench.py",
            "xors += (spec.weight - 1) * h", "xors += spec.weight * h",
@@ -149,6 +149,20 @@ MUTANTS = [
            "bound = min(bounds)", "bound = max(bounds)",
            "the trace-norm check would pass when any one ceiling holds, "
            "though each is a proved bound that must hold on its own"),
+    Mutant("src/entroseal/gf2.py",
+           "if value >> nbits:\n            raise LengthError(\"padding",
+           "if False:\n            raise LengthError(\"padding",
+           "BitPoly.from_bytes, and so deserialize, would accept a field "
+           "whose pad bits are set, as a BitPoly wider than its width"),
+    Mutant("src/entroseal/keyexpand.py",
+           "low &= (1 << tail_len) - 1", "low &= (2 << tail_len) - 1",
+           "with the mask one bit too wide, a key longer than the tail "
+           "would leak one product bit past the pad's width"),
+    Mutant("src/entroseal/gf2.py",
+           "if a.value >> lam or b.value >> lam:",
+           "if a.value >> lam + 1 or b.value >> lam + 1:",
+           "gf_mul would take an operand of degree lam as a field element, "
+           "one bit wider than the width it is built at"),
 ]
 
 
@@ -176,7 +190,7 @@ def run_mutant(mutant: Mutant, files: list[str]) -> str:
         # wide enough that pytest's summary keeps each cause whole
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), COLUMNS="400")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+            [sys.executable, "-m", "pytest", "-q", "-p",
              "no:cacheprovider", "--continue-on-collection-errors",
              "--deselect", CRITERION_08, "--ignore", LIST_TEST],
             cwd=copy, env=env, stdout=subprocess.PIPE,
@@ -191,21 +205,23 @@ def run_mutant(mutant: Mutant, files: list[str]) -> str:
         elapsed = time.monotonic() - start
     if proc.returncode == 0:
         return f"SURVIVED   ({elapsed:.0f} s)"
-    first = killed_by(out) or f"pytest exit status {proc.returncode}"
-    return f"KILLED     {first} ({elapsed:.0f} s)"
+    failures = killed_by(out) or [f"pytest exit status {proc.returncode}"]
+    return ("KILLED     " + "\n           ".join(failures)
+            + f" ({elapsed:.0f} s)")
 
 
-def killed_by(out: str) -> str | None:
-    """The first entry of pytest's short test summary in ``out``: a
+def killed_by(out: str) -> list[str]:
+    """Every entry of pytest's short test summary in ``out``, in order: a
     FAILED line's test id, or an ERROR line's id with its cause, since a
     collection error names only the file it broke."""
     summary = out.partition("short test summary info")[2]
+    failures = []
     for line in summary.splitlines():
         if line.startswith("FAILED "):
-            return line.split()[1]
-        if line.startswith("ERROR "):
-            return line.removeprefix("ERROR ")
-    return None
+            failures.append(line.split()[1])
+        elif line.startswith("ERROR "):
+            failures.append(line.removeprefix("ERROR "))
+    return failures
 
 
 def select(texts: list[str]) -> list[tuple[int, Mutant]]:
@@ -228,7 +244,8 @@ def main(texts: list[str]) -> int:
               f"{mutant.new.strip()!r}", flush=True)
         verdict = run_mutant(mutant, files)
         survived += verdict.startswith("SURVIVED")
-        print(f"   {verdict}", flush=True)
+        for line in verdict.splitlines():
+            print(f"   {line}", flush=True)
     print(f"{survived} of {len(chosen)} survived")
     return 1 if survived else 0
 
